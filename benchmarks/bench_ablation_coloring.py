@@ -1,16 +1,16 @@
-"""Ablation — spreading strategies: sparse P^T vs 8-color schedule.
+"""Ablation — spreading strategies: gather form vs 8-color scatter.
 
-Section IV.B.2's independent-set schedule exists to make spreading
-parallel-safe; this ablation checks its overheads and invariants on
-the host:
+Section IV.B.2's independent-set schedule exists to make the *scatter*
+form of spreading parallel-safe.  The PME pipeline spreads in *gather*
+form instead — each mesh row of the stored ``P^T`` sums its own
+particles — which splits across workers with no coloring.  This
+ablation compares them on the host:
 
-* all three strategies (sparse ``P^T f``, colored scatter, colored
-  scatter with a thread pool) produce bit-identical meshes,
-* the per-color write footprints are disjoint (the race-freedom
-  invariant, re-verified here at benchmark scale),
-* relative costs on this interpreter are reported (on real multicore
-  hardware the colored schedule is what *enables* the parallel speedup;
-  under the GIL it is a correctness demonstration).
+* all strategies (sparse ``P^T f``, the gather form on 1 and 2
+  workers, the colored scatter) produce the same mesh,
+* the per-color write footprints are disjoint (the scatter schedule's
+  race-freedom invariant, re-verified here at benchmark scale),
+* relative costs are reported.
 
 Run ``python benchmarks/bench_ablation_coloring.py`` for the table.
 """
@@ -24,8 +24,8 @@ from repro.bench import (
     print_table,
     record_benchmark,
 )
+from repro.exec import ExecutionContext
 from repro.parallel.coloring import ColoredSpreader
-from repro.parallel.threads import ThreadedSpreader
 from repro.pme.spread import InterpolationMatrix
 from repro.pme.tuning import tune_parameters
 
@@ -44,19 +44,20 @@ def experiment_rows(n=None):
 
     interp = InterpolationMatrix(susp.positions, susp.box, K, p)
     colored = ColoredSpreader(susp.positions, susp.box, K, p)
-    threaded = ThreadedSpreader(susp.positions, susp.box, K, p, n_workers=4)
+    fm = f[:, None]
 
     reference = interp.spread(f)
     rows = []
-    for name, fn, result in (
-            ("sparse P^T f", lambda: interp.spread(f), reference),
-            ("8-color scatter", lambda: colored.spread(f),
-             colored.spread(f)),
-            ("8-color + threads", lambda: threaded.spread(f),
-             threaded.spread(f))):
-        t = measure_seconds(fn, repeats=3, warmup=1).best
-        max_dev = float(np.abs(result - reference).max())
-        rows.append([name, t, f"{max_dev:.1e}"])
+    with ExecutionContext("threads", workers=2) as ctx:
+        for name, fn in (
+                ("sparse P^T f", lambda: interp.spread(f)),
+                ("gather, 1 worker", lambda: interp.spread_batch(fm)[0]),
+                ("gather, 2 workers",
+                 lambda: interp.spread_batch(fm, context=ctx)[0]),
+                ("8-color scatter", lambda: colored.spread(f))):
+            t = measure_seconds(fn, repeats=3, warmup=1).best
+            max_dev = float(np.abs(fn() - reference).max())
+            rows.append([name, t, f"{max_dev:.1e}"])
     return rows, colored
 
 

@@ -1,18 +1,18 @@
-"""Blocked-PME apply under execution contexts: serial vs threads.
+"""Blocked-PME apply under execution contexts: one worker vs threads.
 
-The ExecutionContext layer dispatches the per-color spread/interpolate
-blocks to a thread pool (GIL-releasing C kernels), runs the stacked
-FFTs with ``workers=`` parallelism and chunks the real-space BCSR SpMM
-across workers (paper Sections IV.B.2, IV.C, IV.E).  This benchmark
-times the same ``(3n, s)`` blocked apply through
+There is one PME pipeline.  An ExecutionContext splits its stages
+across a thread pool: the gather-form spread and interpolate over row
+ranges of ``P^T`` and ``P`` (GIL-releasing C kernel), the stacked FFTs
+with ``workers=`` parallelism and the real-space BCSR SpMM by block
+rows (paper Sections IV.B.2, IV.C).  This benchmark times the same
+``(3n, s)`` blocked apply through
 
-* the legacy no-context pipeline (the committed-baseline reference),
-* a ``serial`` context (colored engine, one worker), and
-* ``threads`` contexts at increasing worker counts,
+* ``context=None`` — the pipeline on one worker, inline (the
+  reference row), and
+* ``threads`` contexts at 1, 2 and 4 workers,
 
-and asserts the headline invariant along the way: every context
-produces **bit-identical** velocities, and all agree with the legacy
-pipeline to solver precision.
+and asserts the headline invariant along the way: every run produces
+**bit-identical** velocities.
 
 The speedup column is honest about the machine it ran on: on a
 single-CPU host the thread rows measure dispatch overhead, not
@@ -78,36 +78,29 @@ def parallel_rows(n=N, s=S, repeats=None):
                        K=K, p=P)
     f = np.random.default_rng(0).standard_normal((3 * n, s))
 
-    legacy_op = PMEOperator(susp.positions, susp.box, params)
-    u_legacy = legacy_op.apply_block(f)
-    t_legacy = _best_of(lambda: legacy_op.apply_block(f), repeats)
-    rows = [["legacy", "-", t_legacy, 1.0]]
+    op = PMEOperator(susp.positions, susp.box, params)
+    reference = _digest(op.apply_block(f))
+    t_ref = _best_of(lambda: op.apply_block(f), repeats)
+    rows = [["none", 1, t_ref, 1.0]]
 
-    configs = [("serial", 1)] + [("threads", w) for w in THREAD_WORKERS]
-    digests = set()
-    for backend, workers in configs:
-        with ExecutionContext(backend=backend, workers=workers) as ctx:
+    for workers in THREAD_WORKERS:
+        with ExecutionContext(backend="threads", workers=workers) as ctx:
             op = PMEOperator(susp.positions, susp.box, params, context=ctx)
-            u = op.apply_block(f)
-            digests.add(_digest(u))
-            err = (np.linalg.norm(u - u_legacy)
-                   / np.linalg.norm(u_legacy))
-            assert err < 1e-13, \
-                f"{backend}/{workers} diverged from legacy: {err:.2e}"
+            assert _digest(op.apply_block(f)) == reference, \
+                f"threads/{workers} differs bitwise from context=None"
             t = _best_of(lambda: op.apply_block(f), repeats)
-            rows.append([backend, workers, t, t_legacy / t])
-    assert len(digests) == 1, "contexts disagree bitwise"
+            rows.append([f"threads/{workers}", workers, t, t_ref / t])
     return rows
 
 
 def main():
     rows = parallel_rows()
-    headers = ["backend", "workers", "t block (s)", "speedup vs legacy"]
+    headers = ["context", "workers", "t block (s)", "speedup vs none"]
     print_table(f"Blocked-PME apply under execution contexts "
                 f"(n={N}, s={S}, cpus={_cpus()}, "
                 f"native kernel: {kernel_available()})",
                 headers, rows)
-    threads = {r[1]: r[-1] for r in rows if r[0] == "threads"}
+    threads = {r[1]: r[-1] for r in rows[1:]}
     best_threads = max(threads.values())
     record_benchmark("parallel_pme", headers, rows,
                      meta={"n": N, "s": S, "phi": PHI,
@@ -117,7 +110,7 @@ def main():
                            "threads_speedups": threads,
                            "best_threads_speedup": best_threads,
                            "bit_identical": True})
-    print(f"\nbest threads speedup vs legacy: {best_threads:.2f}x "
+    print(f"\nbest threads speedup vs one worker: {best_threads:.2f}x "
           f"on {_cpus()} cpu(s)")
 
 

@@ -250,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_exec_arguments(sub_parser: argparse.ArgumentParser) -> None:
+    from .config import BACKENDS
     sub_parser.add_argument(
-        "--backend", choices=["serial", "threads", "processes"],
+        "--backend", choices=list(BACKENDS),
         default=None,
         help="execution backend for the PME pipeline (default: "
              "REPRO_BACKEND or serial)")

@@ -2,24 +2,21 @@
 
 :class:`ExecutionContext` is the one object in the package that owns
 worker resources — a ``ThreadPoolExecutor`` for the ``threads``
-backend, a :class:`~repro.exec.procpool.ProcPool` (worker processes +
-shared memory) for ``processes`` — and the only place such pools are
-constructed (lint rule RPR011 enforces this).  Everything in the hot
-path that can run in parallel takes a context:
+backend — and the only place such pools are constructed (lint rule
+RPR011 enforces this).  There are two backends, ``serial`` and
+``threads``, and one PME pipeline; every stage of it splits across the
+context's workers:
 
-* the per-color spread/interpolate stages of the PME pipeline
-  (Section IV.B.2: within a color, block writes are disjoint, so the
-  workers scatter with plain stores),
-* the stacked r2c/c2r FFTs (``workers=`` of :mod:`scipy.fft`),
-* the chunked BCSR SpMM of the real-space term (Section IV.C),
-* the per-device shares of the hybrid scheduler (Section IV.E).
+* the gather-form spread and interpolate stages (row ranges of ``P^T``
+  and ``P``, :func:`run_ranges` over the GIL-releasing C kernel),
+* the FFTs (``workers=`` of :mod:`scipy.fft`),
+* the chunked BCSR SpMM of the real-space term (Section IV.C).
 
-The headline invariant: for a fixed kernel configuration, the
-``serial``, ``threads`` and ``processes`` backends produce
-**bit-identical** results — every partition the context hands out
-(color blocks, row ranges) writes disjoint outputs and preserves the
-per-element accumulation order, so parallelism never perturbs the
-floating-point sums.
+``context=None`` everywhere means one worker run inline.  The headline
+invariant: every partition writes disjoint outputs and keeps each
+element's summation order, so for a fixed kernel configuration the
+results are **bit-identical** at any worker count, and to the
+no-context run.
 
 Pools are created lazily on first dispatch and owned until
 :meth:`ExecutionContext.close` (idempotent; the context is also a
@@ -32,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .. import obs
@@ -39,7 +37,8 @@ from ..config import BACKENDS, get_config
 from ..errors import ConfigurationError
 from ..utils.timing import now
 
-__all__ = ["ExecutionContext", "default_context", "reset_default_context"]
+__all__ = ["ExecutionContext", "default_context", "reset_default_context",
+           "run_ranges"]
 
 
 class ExecutionContext:
@@ -48,7 +47,7 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"threads"`` or ``"processes"``; default from
+        ``"serial"`` or ``"threads"``; default from
         :func:`repro.config.get_config`.
     workers:
         Worker count; default is the config's resolved count (one per
@@ -72,7 +71,6 @@ class ExecutionContext:
         self._backend = backend
         self._workers = 1 if backend == "serial" else workers
         self._thread_pool: ThreadPoolExecutor | None = None
-        self._proc_pool: Any = None
         self._closed = False
         self._lock = threading.Lock()
 
@@ -91,18 +89,6 @@ class ExecutionContext:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def fft_workers(self) -> int:
-        """``workers=`` value for :mod:`scipy.fft` calls.
-
-        The FFT threads live inside pocketfft regardless of backend
-        (the ``processes`` backend does not ship spectra across
-        processes — there is no FFT on blocks of vectors to partition,
-        the Section IV.E observation), so any parallel backend uses
-        the context's worker count here.
-        """
-        return self._workers
 
     def span_args(self) -> dict[str, Any]:
         """Span/phase annotations identifying this context."""
@@ -126,20 +112,6 @@ class ExecutionContext:
                         thread_name_prefix="repro-exec")
         return self._thread_pool
 
-    def proc_pool(self) -> Any:
-        """The lazily created process pool (processes backend)."""
-        self._check_open()
-        if self._backend != "processes":
-            raise ConfigurationError(
-                f"proc_pool() requires the processes backend, "
-                f"this context uses {self._backend!r}")
-        if self._proc_pool is None:
-            with self._lock:
-                if self._proc_pool is None:
-                    from .procpool import ProcPool
-                    self._proc_pool = ProcPool(self._workers)
-        return self._proc_pool
-
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigurationError(
@@ -153,10 +125,7 @@ class ExecutionContext:
 
         ``threads`` dispatches to the owned pool (the compiled kernels
         release the GIL inside ``ctypes`` calls, so this is genuine
-        parallelism); ``serial`` runs inline.  The ``processes``
-        backend also runs inline — generic Python callables do not
-        cross the process boundary; the structured PME stages use
-        :meth:`proc_pool` directly instead.
+        parallelism); ``serial`` runs inline.
         """
         self._check_open()
         if not tasks:
@@ -183,7 +152,7 @@ class ExecutionContext:
 
     def record_dispatch(self, n_tasks: int, queue_lag: float,
                         stage: str = "exec") -> None:
-        """Publish dispatch metrics (also used by the processes path)."""
+        """Publish dispatch metrics."""
         obs.inc("exec_tasks_total", n_tasks)
         registry = obs.get_metrics()
         if registry is not None:
@@ -203,9 +172,6 @@ class ExecutionContext:
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=True)
             self._thread_pool = None
-        if self._proc_pool is not None:
-            self._proc_pool.close()
-            self._proc_pool = None
 
     def __enter__(self) -> "ExecutionContext":
         self._check_open()
@@ -213,6 +179,23 @@ class ExecutionContext:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def run_ranges(context: ExecutionContext | None, n: int,
+               body: Callable[[int, int], Any], stage: str = "exec") -> None:
+    """Run ``body(lo, hi)`` over ``[0, n)`` split into one contiguous
+    range per worker; ``context=None`` runs ``body(0, n)`` inline.
+
+    Callers write disjoint outputs per range, so the split never
+    changes the result.
+    """
+    if context is None:
+        body(0, n)
+        return
+    workers = min(context.workers, max(1, n))
+    bounds = [n * k // workers for k in range(workers + 1)]
+    context.run_tasks([partial(body, lo, hi)
+                       for lo, hi in zip(bounds, bounds[1:])], stage=stage)
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +238,7 @@ def default_context() -> ExecutionContext | None:
     _default_key = key
     if not _atexit_registered:
         # the shared context outlives any one operator, so interpreter
-        # shutdown is the only reliable point to join worker processes
-        # and unlink their shared-memory segments
+        # shutdown is the only reliable point to join its threads
         _register_atexit()
     return _default
 

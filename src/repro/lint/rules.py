@@ -582,7 +582,7 @@ class AdHocWorkerPoolRule(Rule):
                     "repro.exec",
                     hint="request workers from an "
                          "repro.exec.ExecutionContext (run_tasks / "
-                         "thread_pool / proc_pool) so sizing, reuse and "
+                         "run_ranges / thread_pool) so sizing, reuse and "
                          "shutdown stay centralized")
 
 

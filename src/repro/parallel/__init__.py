@@ -5,7 +5,9 @@ machines, reproduced as explicit, testable work-partitioning logic:
 
 * :mod:`~repro.parallel.coloring` -- the 8-color independent-set
   schedule that makes the spreading scatter-add write-conflict free
-  (Section IV.B.2, Fig. 2),
+  (Section IV.B.2, Fig. 2).  The PME pipeline itself spreads in gather
+  form over ``P^T`` (:mod:`repro.pme.spread`), which needs no coloring;
+  the schedule is kept as the artifact of the coloring ablation,
 * :mod:`~repro.parallel.partition` -- row-block and cost-balanced
   partitioning used for P construction and static work splits,
 * :mod:`~repro.parallel.hybrid` -- the hybrid CPU + Xeon Phi scheduler:
@@ -13,17 +15,15 @@ machines, reproduced as explicit, testable work-partitioning logic:
   block-of-vector reciprocal work (Section IV.E), driven by the
   Section IV.D performance model.
 
-On this machine the workers execute serially (single core), but every
-schedule is *executed* — the partitions, colors and splits are applied
-to real data and verified to reproduce the unpartitioned results
-bit-for-bit, which is the property that makes them correct on real
+Every schedule is *executed* — the partitions, colors and splits are
+applied to real data and verified to reproduce the unpartitioned
+results, which is the property that makes them correct on real
 parallel hardware.
 """
 
 from .coloring import IndependentSetColoring, ColoredSpreader
 from .partition import row_blocks, balance_by_cost
 from .hybrid import HybridScheduler, HybridPlan, OffloadModel
-from .threads import ThreadedSpreader
 from .decomposition import (
     SlabDecomposition,
     distributed_real_space_matrix,
@@ -33,7 +33,6 @@ from .decomposition import (
 __all__ = [
     "IndependentSetColoring",
     "ColoredSpreader",
-    "ThreadedSpreader",
     "row_blocks",
     "balance_by_cost",
     "HybridScheduler",

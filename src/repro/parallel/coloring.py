@@ -16,9 +16,15 @@ are adjacent but share parity); the constructor enforces it by merging
 blocks when needed.
 
 :class:`ColoredSpreader` executes the schedule on real data; the test
-suite verifies it reproduces the sparse-matrix spreading bit-for-bit
-and that the per-set write footprints are disjoint — the property that
-makes the schedule race-free on actual parallel hardware.
+suite verifies it reproduces the sparse-matrix spreading and that the
+per-set write footprints are disjoint — the property that makes the
+schedule race-free on actual parallel hardware.
+
+The PME pipeline does not use this schedule: it spreads in *gather*
+form over the stored ``P^T`` (each mesh point sums its own particles,
+:mod:`repro.pme.spread`), which has no write conflicts to color away.
+The schedule remains as the artifact of the coloring ablation
+(``benchmarks/bench_ablation_coloring.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..geometry.box import Box
 from ..utils.validation import as_positions
-from ..pme.bspline import bspline_weights
 
 __all__ = ["IndependentSetColoring", "ColoredSpreader"]
 

@@ -203,21 +203,18 @@ class HybridScheduler:
     # host execution of a plan
     # ------------------------------------------------------------------
 
-    def execute(self, operator, forces,
-                context=None) -> tuple[np.ndarray, HybridPlan]:
+    def execute(self, operator, forces) -> tuple[np.ndarray, HybridPlan]:
         """Execute ``u = M f`` per the hybrid schedule (on the host).
 
         The real-space term and each device's share of reciprocal
         vector pipelines are computed separately, exactly as the
-        schedule prescribes, then summed — the result is numerically
-        identical to ``operator.apply(forces)`` (tested), while the
-        returned plan carries the modeled per-device times.
-
-        ``context`` (an :class:`~repro.exec.ExecutionContext`) chunks
-        the real-space SpMM across workers; the per-device reciprocal
-        shares stay sequential on the host — they model distinct
-        physical devices, so overlapping them here would misstate the
-        schedule the plan's times describe.
+        schedule prescribes, then summed — the result equals
+        ``operator.apply(forces)`` (tested), while the returned plan
+        carries the modeled per-device times.  Every piece runs the
+        operator's one pipeline on its own execution context; the
+        per-device shares stay sequential on the host — they model
+        distinct physical devices, so overlapping them here would
+        misstate the schedule the plan's times describe.
         """
         f = np.asarray(forces, dtype=np.float64)
         flat = f.ndim == 1
@@ -229,23 +226,15 @@ class HybridScheduler:
                 if s == 1 else
                 self.plan_block(operator.n, params.K, params.p, density, s))
 
-        if context is not None:
-            u_real = operator.real.apply_block(fb, context=context)
-        else:
-            u_real = operator.apply_real(fb)
+        u_real = operator.apply_real(fb)
         u_recip = np.empty_like(fb)
         col = 0
-        split = plan.assignments if s > 1 else [0, s] + [0] * (
-            len(self.accelerators) - 1)
-        for count in split:
-            if count == 0:
-                continue
-            u_recip[:, col:col + count] = operator.apply_reciprocal(
-                fb[:, col:col + count])
-            col += count
         # single-vector plans keep all reciprocal work on one device
-        if col < s:
-            u_recip[:, col:] = operator.apply_reciprocal(fb[:, col:])
-        out = (u_real + u_recip) * operator.fluid.mobility0
+        for count in (plan.assignments if s > 1 else [s]):
+            if count:
+                u_recip[:, col:col + count] = operator.apply_reciprocal(
+                    fb[:, col:col + count])
+                col += count
+        out = (u_recip + u_real) * operator.fluid.mobility0
         operator.n_applications += s
         return (out[:, 0] if flat else out), plan

@@ -13,6 +13,14 @@ configuration, then applied to many force vectors::
 * the self term is carried on the diagonal blocks of the real-space
   matrix.
 
+There is one pipeline for one vector or a block of them, with or
+without an :class:`~repro.exec.ExecutionContext`: spreading gathers
+rows of ``P^T`` and interpolation rows of ``P`` on the context's
+workers, the stacked FFTs use ``workers=``-parallel :mod:`scipy.fft`,
+and the real-space SpMM is chunked by block rows.  ``context=None``
+runs the same stages on one worker, so results are bit-identical with
+and without a context, at any worker count.
+
 Each phase is timed into :class:`~repro.utils.timing.PhaseTimer` under
 the names used by Fig. 5 (``spread``, ``fft``, ``influence``, ``ifft``,
 ``interpolate``, ``real``).
@@ -41,15 +49,6 @@ from .realspace import RealSpaceOperator
 from .spread import InterpolationMatrix, interpolate_on_the_fly, spread_on_the_fly
 
 __all__ = ["PMEParams", "PMEOperator"]
-
-
-def _rfftn_into(src: np.ndarray, dst: np.ndarray) -> None:
-    """Forward r2c FFT into a preallocated spectrum (NumPy >= 2 has
-    ``out=``; older versions pay one assignment copy)."""
-    try:
-        np.fft.rfftn(src, out=dst)
-    except TypeError:  # pragma: no cover - numpy < 2
-        dst[...] = np.fft.rfftn(src)
 
 
 @keyword_only
@@ -128,18 +127,13 @@ class PMEOperator:
         optimization of Algorithm 2, where a fresh operator is built
         every ``lambda_RPY`` steps.
     context:
-        Optional :class:`~repro.exec.ExecutionContext`.  When attached
-        (any backend, including an explicit ``serial`` one),
-        :meth:`apply_block` runs the *colored* deterministic pipeline:
-        spreading/interpolation execute per the Section IV.B.2
-        independent-set schedule on the context's workers, the stacked
-        FFTs use ``workers=``-parallel :mod:`scipy.fft`, and the
-        real-space SpMM is chunked across workers — with results
-        bit-identical across the ``serial``/``threads``/``processes``
-        backends for a fixed kernel configuration.  ``None`` (default)
-        uses the process default from :func:`repro.exec.default_context`
-        (which is ``None`` — the legacy single-threaded path — unless
-        the runtime config selects a parallel backend).
+        Optional :class:`~repro.exec.ExecutionContext` whose workers
+        run every stage of the pipeline; results are bit-identical at
+        any worker count for a fixed kernel configuration.  ``None``
+        (default) uses the process default from
+        :func:`repro.exec.default_context`, which is ``None`` — one
+        worker, inline — unless the runtime config selects the
+        ``threads`` backend.
 
     Notes
     -----
@@ -170,7 +164,7 @@ class PMEOperator:
         #: Total number of operator applications (column counts included).
         self.n_applications = 0
         #: Batched-pipeline workspaces when no shared cache is set,
-        #: keyed by lane count (allocated on first apply_block).
+        #: keyed by lane count (allocated on first application).
         self._workspaces: dict[tuple[int, int, int], dict] = {}
 
         with self.timers.phase("construct_p", **self._exec_args):
@@ -178,14 +172,6 @@ class PMEOperator:
                                                params.K, params.p,
                                                kind=params.interpolation)
                            if store_p else None)
-        self.engine = None
-        if self.context is not None and self.interp is not None:
-            from ..parallel.engine import ColoredPMEEngine  # deferred cycle
-            with self.timers.phase("construct_engine", **self._exec_args):
-                self.engine = ColoredPMEEngine(
-                    self.positions, box, params.K, params.p,
-                    weights=self.interp.weights,
-                    columns=self.interp.columns, context=self.context)
         if cache is not None:
             self.influence = cache.influence(
                 self.mesh, params.xi, params.p, fluid.radius,
@@ -217,14 +203,9 @@ class PMEOperator:
         """``u = M f`` for ``f`` of shape ``(3n,)`` or ``(3n, s)``.
 
         The result includes the physical prefactor ``mu0`` and all three
-        Ewald contributions.
+        Ewald contributions.  Same pipeline as :meth:`apply_block`.
         """
-        f, flat = as_force_block(forces, self.n)
-        out = self.apply_real(f) + self.apply_reciprocal(f)
-        out *= self.fluid.mobility0
-        self.n_applications += f.shape[1]
-        obs.inc("pme_applications_total", f.shape[1])
-        return out[:, 0] if flat else out
+        return self._apply(forces)
 
     def __call__(self, forces) -> np.ndarray:
         from ..core.mobility import reject_call_shim  # deferred: import cycle
@@ -251,68 +232,76 @@ class PMEOperator:
     def apply_block(self, forces) -> np.ndarray:
         """Batched ``U = M F`` for a block ``F`` of shape ``(3n, s)``.
 
-        Produces the same operator action as ``s`` :meth:`apply` calls
-        but amortizes the whole reciprocal pipeline across the block
-        (paper Sections IV.A-IV.C):
+        Amortizes the whole reciprocal pipeline across the block (paper
+        Sections IV.A-IV.C):
 
-        * one sparse spread product for all ``3s`` mesh components,
-        * ``3s`` contiguous forward r2c FFTs into one stacked
-          half-spectrum, and a *stacked* inverse transform (one batched
-          c2c pass over the two full axes + one batched c2r pass over
-          the half axis),
+        * one gather-form spread for all ``3s`` mesh components,
+          written batch-first (one C-contiguous mesh per lane),
+        * a forward FFT into one persistent half-spectrum (r2c per
+          lane, then one batched c2c pass over the two full axes), and
+          a *stacked* inverse transform (one batched c2c pass over the
+          two full axes + one batched c2r pass over the half axis),
         * the influence function applied slab-fused over all vectors
           (``khat``/scalar grids read once per slab, not once per
           vector),
         * one BCSR SpMM for the real-space term (each 3x3 block
           streamed once against all ``s`` lanes).
 
-        Workspaces come from the :class:`~repro.pme.cache.MobilityCache`
-        when one is attached, so repeated block applications (block
-        Lanczos iterations, consecutive mobility updates) allocate
-        nothing.
-
-        With an :class:`~repro.exec.ExecutionContext` attached, the
-        spread/interpolate stages run through the colored
-        :class:`~repro.parallel.engine.ColoredPMEEngine`, the stacked
-        transforms use ``workers=``-parallel :mod:`scipy.fft`, and the
-        real-space SpMM is chunked across the workers.  Without one
-        (the default), this is the legacy single-threaded pipeline,
-        byte-for-byte.
+        Every stage splits across the attached context's workers
+        (spread: mesh rows of ``P^T``; interpolate: particle rows of
+        ``P``; FFTs: ``workers=``; SpMM: block rows); without a
+        context the same stages run on one worker.  Workspaces come
+        from the :class:`~repro.pme.cache.MobilityCache` when one is
+        attached, so repeated block applications reuse them.
         """
+        return self._apply(forces)
+
+    def _apply(self, forces) -> np.ndarray:
+        """Reciprocal + real + self terms times ``mu0`` (the one
+        pipeline behind :meth:`apply` and :meth:`apply_block`)."""
         f, flat = as_force_block(forces, self.n)
         f = np.ascontiguousarray(f)
+        s = f.shape[1]
+        out = self._reciprocal(f)
+        with self.timers.phase("real", vectors=s, **self._exec_args):
+            out += self.real.apply_block(f, context=self.context)
+        out *= self.fluid.mobility0
+        self.n_applications += s
+        obs.inc("pme_applications_total", s)
+        return out[:, 0] if flat else out
+
+    def _reciprocal(self, f: np.ndarray) -> np.ndarray:
+        """Reciprocal-space term of a C-contiguous ``(3n, s)`` block in
+        ``mu0`` units: spread, FFT, influence, iFFT, interpolate."""
         n, s = self.n, f.shape[1]
         K = self.params.K
         lanes = 3 * s                       # lane b = component*s + vector
         ws = self._workspace(lanes)
-        g, spec = ws["mesh"], ws["spec"]
         ctx, xargs = self.context, self._exec_args
+        workers = 1 if ctx is None else ctx.workers
+        fm = f.reshape(n, lanes)
 
-        fm = f.reshape(n, 3, s).reshape(n, lanes)
         with self.timers.phase("spread", vectors=s, **xargs):
-            if self.engine is not None:
-                self.engine.spread_batch(fm, out=g)
-            elif self.interp is not None:
-                self.interp.spread_batch(fm, out=g)
+            if self.interp is not None:
+                g = self.interp.spread_batch(fm, out=ws["mesh"], context=ctx)
             else:
-                gm = spread_on_the_fly(self.positions, self.box, K,
-                                       self.params.p, fm,
-                                       kind=self.params.interpolation)
-                for lo in range(0, K ** 3, 16384):
-                    hi = min(lo + 16384, K ** 3)
-                    g[:, lo:hi] = gm[lo:hi].T
+                g = ws["mesh"]
+                g[...] = spread_on_the_fly(self.positions, self.box, K,
+                                           self.params.p, fm,
+                                           kind=self.params.interpolation).T
 
-        gl = g.reshape(lanes, K, K, K)
         with self.timers.phase("fft", vectors=s, **xargs):
-            if ctx is not None:
-                # one stacked r2c pass over all lanes; pocketfft splits
-                # the independent line transforms across workers, which
-                # is bitwise deterministic in the worker count
-                spec[...] = sfft.rfftn(gl, axes=(1, 2, 3),
-                                       workers=ctx.fft_workers)
-            else:
-                for b in range(lanes):
-                    _rfftn_into(gl[b], spec[b])
+            # r2c along the last axis lane by lane into the persistent
+            # spectrum (a stacked rfftn would allocate a second
+            # lanes x K^3 spectrum per call), then one stacked in-place
+            # c2c over the two full axes.  pocketfft splits the
+            # independent line transforms across workers, which is
+            # bitwise deterministic in the worker count.
+            half, gl = ws["spec"], g.reshape(lanes, K, K, K)
+            for b in range(lanes):
+                half[b] = sfft.rfft(gl[b], axis=-1, workers=workers)
+            spec = sfft.fftn(half, axes=(1, 2), overwrite_x=True,
+                             workers=workers)
 
         with self.timers.phase("influence", vectors=s, **xargs):
             self.influence.apply_batch(spec.reshape((3, s) + self.mesh.rshape))
@@ -320,86 +309,33 @@ class PMEOperator:
         with self.timers.phase("ifft", vectors=s, **xargs):
             # decomposed inverse: batched c2c over the two full axes,
             # then one batched c2r transform on the half axis
-            fft_workers = 1 if ctx is None else ctx.fft_workers
             tmp = sfft.ifftn(spec, axes=(1, 2), overwrite_x=True,
-                             workers=fft_workers)
+                             workers=workers)
             u = sfft.irfft(tmp, n=K, axis=3, overwrite_x=True,
-                           workers=fft_workers)
+                           workers=workers).reshape(lanes, K ** 3)
 
         with self.timers.phase("interpolate", vectors=s, **xargs):
-            ub = u.reshape(lanes, K ** 3)
-            if self.engine is not None:
-                um = self.engine.interpolate_batch(ub, out=ws["particle"])
-                recip = um.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s)
-            elif self.interp is not None:
-                um = self.interp.interpolate_batch(ub, out=ws["particle"])
-                recip = um.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s)
+            if self.interp is not None:
+                um = self.interp.interpolate_batch(u, out=ws["particle"],
+                                                   context=ctx)
             else:
                 um = interpolate_on_the_fly(self.positions, self.box, K,
-                                            self.params.p, ub.T,
-                                            kind=self.params.interpolation)
-                recip = um.reshape(n, 3, s).reshape(3 * n, s).copy()
-
-        with self.timers.phase("real", vectors=s, **xargs):
-            recip += self.real.apply_block(f, context=ctx)
-        recip *= self.fluid.mobility0
-        self.n_applications += s
-        obs.inc("pme_applications_total", s)
-        return recip[:, 0] if flat else recip
+                                            self.params.p, u.T,
+                                            kind=self.params.interpolation).T
+            return um.reshape(3, s, n).transpose(2, 0, 1).reshape(3 * n, s)
 
     def apply_real(self, forces) -> np.ndarray:
         """Real-space + self contribution in ``mu0`` units."""
         f, flat = as_force_block(forces, self.n)
-        with self.timers.phase("real"):
-            out = self.real.apply(f)
+        with self.timers.phase("real", **self._exec_args):
+            out = self.real.apply_block(f, context=self.context)
         return out[:, 0] if flat else out
 
     def apply_reciprocal(self, forces) -> np.ndarray:
-        """Reciprocal-space contribution in ``mu0`` units.
-
-        Runs the six-step mesh pipeline once per (vector, component):
-        with ``s`` input vectors this is ``3s`` forward and ``3s``
-        inverse 3-D real-to-complex FFTs (there is no FFT on blocks of
-        vectors — the observation behind the paper's hybrid static
-        partitioning, Section IV.E).
-        """
+        """Reciprocal-space contribution in ``mu0`` units (the
+        :meth:`apply_block` pipeline without the real-space term)."""
         f, flat = as_force_block(forces, self.n)
-        n, s = self.n, f.shape[1]
-        K = self.params.K
-
-        # spread all components and vectors in one sparse product
-        fm = np.ascontiguousarray(f).reshape(n, 3 * s)
-        with self.timers.phase("spread"):
-            if self.interp is not None:
-                mesh_f = self.interp.spread(fm)
-            else:
-                mesh_f = spread_on_the_fly(self.positions, self.box, K,
-                                           self.params.p, fm,
-                                           kind=self.params.interpolation)
-        mesh_f = mesh_f.reshape(K, K, K, 3, s)
-
-        mesh_u = np.empty_like(mesh_f)
-        spec = np.empty((3,) + self.mesh.rshape, dtype=np.complex128)
-        for v in range(s):
-            with self.timers.phase("fft"):
-                for theta in range(3):
-                    spec[theta] = np.fft.rfftn(mesh_f[:, :, :, theta, v])
-            with self.timers.phase("influence"):
-                self.influence.apply(spec, out=spec)
-            with self.timers.phase("ifft"):
-                for theta in range(3):
-                    mesh_u[:, :, :, theta, v] = np.fft.irfftn(
-                        spec[theta], s=self.mesh.shape, axes=(0, 1, 2))
-
-        with self.timers.phase("interpolate"):
-            if self.interp is not None:
-                um = self.interp.interpolate(mesh_u.reshape(K ** 3, 3 * s))
-            else:
-                um = interpolate_on_the_fly(self.positions, self.box, K,
-                                            self.params.p,
-                                            mesh_u.reshape(K ** 3, 3 * s),
-                                            kind=self.params.interpolation)
-        out = np.ascontiguousarray(um).reshape(3 * n, s)
+        out = self._reciprocal(np.ascontiguousarray(f))
         return out[:, 0] if flat else out
 
     # ------------------------------------------------------------------

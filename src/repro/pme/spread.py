@@ -12,7 +12,13 @@ provided for that comparison.
 ``P`` is stored as a ``scipy.sparse.csr_matrix``: as the paper notes,
 row pointers are redundant (every row has exactly ``p^3`` nonzeros) but
 CSR keeps the compiled SpMV available; the redundancy is one ``intp``
-per particle.
+per particle.  ``P^T`` is stored too, so spreading is a row *gather*
+over mesh points rather than a scatter over particles: the batched
+products split their output rows across an
+:class:`~repro.exec.ExecutionContext`'s workers through the
+GIL-releasing ``csr_gather_range`` kernel of
+:mod:`repro.sparse.kernels`, with no write conflicts and no coloring,
+and the result is bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..errors import ConfigurationError
+from ..exec import run_ranges
 from ..geometry.box import Box
 from ..lint.contracts import positions_arg
+from ..sparse.kernels import gather_kernel
 from ..utils.validation import as_positions
 from .bspline import bspline_weights
 
@@ -106,18 +114,14 @@ class InterpolationMatrix:
             self.K = int(K)
             self.p = int(p)
             self.kind = kind
-            #: Per-particle spreading weights and flat mesh columns,
-            #: shape ``(n, p^3)`` — the tables behind the CSR arrays
-            #: (shared memory, not copies).  The colored execution
-            #: engine (:class:`repro.parallel.engine.ColoredPMEEngine`)
-            #: reuses them so parallel spreading recomputes nothing.
-            self.weights = data
-            self.columns = cols
             indptr = np.arange(0, n * p ** 3 + 1, p ** 3, dtype=np.intp)
             #: The sparse ``n x K^3`` matrix (CSR).
             self.matrix = sp.csr_matrix(
                 (data.ravel(), cols.ravel(), indptr), shape=(n, K ** 3))
             self._transpose = self.matrix.T.tocsr()
+            #: int64 (indptr, indices, data) of ``P`` and ``P^T`` for the
+            #: gather kernel, materialized on first batched product.
+            self._kernel_arrays: dict[bool, tuple] = {}
         obs.set_gauge("pme_p_nnz", self.matrix.nnz)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
@@ -139,9 +143,47 @@ class InterpolationMatrix:
         """Interpolate mesh values at the particle locations: ``P mesh``."""
         return self.matrix @ mesh_values
 
+    @staticmethod
+    def _operand(a: np.ndarray, axis: int, size: int, name: str
+                 ) -> np.ndarray:
+        """``a`` as a C-contiguous float64 2-D array with ``size``
+        entries along ``axis``: the C kernel trusts these shapes, so a
+        mismatch raises here."""
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[axis] != size:
+            raise ConfigurationError(
+                f"{name} must be 2-D with {size} entries on axis {axis}, "
+                f"got shape {a.shape}")
+        return a
+
+    @staticmethod
+    def _output(out: np.ndarray | None, shape: tuple[int, int]
+                ) -> np.ndarray:
+        if out is None:
+            return np.empty(shape)
+        if (out.shape != shape or out.dtype != np.float64
+                or not out.flags.c_contiguous):
+            raise ConfigurationError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{shape}, got {out.dtype} {out.shape}")
+        return out
+
+    def _gather_arrays(self, transpose: bool) -> tuple:
+        """``(indptr, indices, data)`` of ``P^T`` (or ``P``) as the
+        gather kernel takes them (cached; int64 copies only where SciPy
+        chose 32-bit indices)."""
+        arrays = self._kernel_arrays.get(transpose)
+        if arrays is None:
+            m = self._transpose if transpose else self.matrix
+            arrays = (np.ascontiguousarray(m.indptr, dtype=np.int64),
+                      np.ascontiguousarray(m.indices, dtype=np.int64),
+                      m.data)
+            self._kernel_arrays[transpose] = arrays
+        return arrays
+
     def spread_batch(self, values: np.ndarray,
                      out: np.ndarray | None = None,
-                     chunk: int = 16384) -> np.ndarray:
+                     context=None) -> np.ndarray:
         """Spread a lane block to *batch-first* mesh layout.
 
         Parameters
@@ -152,30 +194,47 @@ class InterpolationMatrix:
         out:
             Optional preallocated ``(B, K^3)`` output (the batched
             pipeline reuses one across applications).
+        context:
+            Optional :class:`~repro.exec.ExecutionContext`; the mesh
+            rows are split across its workers (``None``: one worker,
+            inline).
 
         Returns
         -------
         ``(B, K^3)`` array: lane ``b`` is the C-contiguous mesh field
-        ``P^T values[:, b]``, ready for a contiguous in-place FFT.
+        ``P^T values[:, b]``, ready for a contiguous FFT.
 
         Notes
         -----
-        The sparse product naturally produces ``(K^3, B)`` (lane-last);
-        the batched FFTs want lane-*first*.  Transposing the ~``8 B
-        K^3``-byte intermediate in one strided pass thrashes the TLB,
-        so the bridge runs in row chunks that fit in cache.
+        With the C kernel each mesh row gathers its particles in
+        ``P^T``'s stored order and writes its lanes straight into the
+        batch-first output, bitwise equal to ``P^T @ values``.
+        Without it, the SciPy product produces ``(K^3, B)`` (lane-last)
+        and a chunked transpose bridges it to lane-first (one strided
+        pass over the whole intermediate would thrash the TLB).
         """
-        gm = self._transpose @ values
-        k3, b = gm.shape
-        if out is None:
-            out = np.empty((b, k3))
-        for lo in range(0, k3, chunk):
-            hi = min(lo + chunk, k3)
-            out[:, lo:hi] = gm[lo:hi].T
+        values = self._operand(values, 0, self.n, "values")
+        k3, lanes = self.K ** 3, values.shape[1]
+        out = self._output(out, (lanes, k3))
+        kernel = gather_kernel()
+        if kernel is None:
+            gm = self._transpose @ values
+            for lo in range(0, k3, 16384):
+                hi = min(lo + 16384, k3)
+                out[:, lo:hi] = gm[lo:hi].T
+            return out
+        indptr, indices, data = self._gather_arrays(transpose=True)
+
+        def body(lo: int, hi: int) -> None:
+            kernel(lo, hi, indptr, indices, data, values, lanes, 1, lanes,
+                   out, k3)
+
+        run_ranges(context, k3, body, stage="spread")
         return out
 
     def interpolate_batch(self, mesh_values: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None,
+                          context=None) -> np.ndarray:
         """Interpolate a batch-first mesh block back to the particles.
 
         Parameters
@@ -184,6 +243,9 @@ class InterpolationMatrix:
             Shape ``(B, K^3)`` — one C-contiguous mesh field per lane.
         out:
             Optional preallocated ``(B, n)`` output.
+        context:
+            Optional :class:`~repro.exec.ExecutionContext`; the particle
+            rows of ``P`` are split across its workers.
 
         Returns
         -------
@@ -191,16 +253,27 @@ class InterpolationMatrix:
 
         Notes
         -----
-        SciPy's CSR multi-vector product walks the operand columns one
-        at a time, so handing it ``mesh_values.T`` would first pay a
-        full transposed copy for nothing; one compiled SpMV per lane on
-        the already-contiguous rows is faster.
+        The C kernel reads all lanes of each mesh point a particle
+        touches; without it, one compiled SpMV per lane runs on the
+        already-contiguous rows (SciPy's multi-vector product would
+        first pay a full transposed copy).
         """
-        b = mesh_values.shape[0]
-        if out is None:
-            out = np.empty((b, self.n))
-        for lane in range(b):
-            out[lane] = self.matrix @ mesh_values[lane]
+        k3 = self.K ** 3
+        mesh_values = self._operand(mesh_values, 1, k3, "mesh_values")
+        lanes = mesh_values.shape[0]
+        out = self._output(out, (lanes, self.n))
+        kernel = gather_kernel()
+        if kernel is None:
+            for lane in range(lanes):
+                out[lane] = self.matrix @ mesh_values[lane]
+            return out
+        indptr, indices, data = self._gather_arrays(transpose=False)
+
+        def body(lo: int, hi: int) -> None:
+            kernel(lo, hi, indptr, indices, data, mesh_values, 1, k3, lanes,
+                   out, self.n)
+
+        run_ranges(context, self.n, body, stage="interpolate")
         return out
 
     @property

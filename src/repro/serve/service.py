@@ -426,6 +426,10 @@ class SimulationService:
         forwarder = asyncio.get_running_loop().create_task(
             self._forward_events(state, message, queue))
         state.jobs[request_id] = (job, queue, forwarder)
+        if state.closed:
+            # the client left while the job was starting: its disconnect
+            # cleanup ran before this subscription existed
+            self._abandon_jobs(state)
         try:
             result = await job.wait()
         finally:

@@ -24,19 +24,15 @@ loops.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigurationError
+from ..exec import run_ranges
 from ..lint.contracts import force_block_arg
 from .kernels import spmm_kernel, spmm_range_kernel
 
 __all__ = ["BlockCSR"]
-
-#: Instance counter namespacing shared-memory keys (processes backend).
-_BCSR_SEQ = itertools.count()
 
 
 class BlockCSR:
@@ -86,9 +82,6 @@ class BlockCSR:
         self._indptr64: np.ndarray | None = None
         self._indices64: np.ndarray | None = None
         self._csr: sp.csr_matrix | None = None
-        # processes-backend shared-memory registration (lazy)
-        self._shm_prefix: str | None = None
-        self._shm_static: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -244,8 +237,7 @@ class BlockCSR:
             indptr64, indices64 = self._spmm_arrays()
             xg = x.reshape(n, 3, s)
             y = np.empty((n, 3, s))
-            if (context is not None and context.backend != "serial"
-                    and context.workers > 1 and n > 1):
+            if context is not None and context.workers > 1:
                 self._parallel_matmat(context, indptr64, indices64, xg, y, s)
             else:
                 kernel(n, indptr64, indices64, self.blocks, xg, y, s)
@@ -258,49 +250,13 @@ class BlockCSR:
                          indices64: np.ndarray, xg: np.ndarray,
                          y: np.ndarray, s: int) -> None:
         """Chunked SpMM over the context's workers (C kernel path)."""
-        from ..parallel.partition import row_blocks  # deferred: cycle
-        n = self.n_block_rows
-        ranges = [(lo, hi) for lo, hi in row_blocks(n, context.workers)
-                  if hi > lo]
-        if context.backend == "processes":
-            self._processes_matmat(context, indptr64, indices64, xg, y,
-                                   ranges)
-            return
         rng_kernel = spmm_range_kernel()
         blocks = self.blocks
 
-        def make_task(lo: int, hi: int):
-            def task() -> None:
-                rng_kernel(lo, hi, indptr64, indices64, blocks, xg, y, s)
-            return task
+        def body(lo: int, hi: int) -> None:
+            rng_kernel(lo, hi, indptr64, indices64, blocks, xg, y, s)
 
-        context.run_tasks([make_task(lo, hi) for lo, hi in ranges],
-                          stage="real_spmm")
-
-    def _processes_matmat(self, context: "object", indptr64: np.ndarray,
-                          indices64: np.ndarray, xg: np.ndarray,
-                          y: np.ndarray,
-                          ranges: list[tuple[int, int]]) -> None:
-        """SpMM over shared-memory worker processes."""
-        pool = context.proc_pool()
-        if self._shm_prefix is None:
-            self._shm_prefix = f"bcsr{next(_BCSR_SEQ)}-"
-            prefix = self._shm_prefix
-            self._shm_static = {
-                "indptr": pool.share(prefix + "p", indptr64),
-                "indices": pool.share(prefix + "i", indices64),
-                "blocks": pool.share(prefix + "b", self.blocks),
-            }
-        prefix = self._shm_prefix
-        x_tok = pool.share(prefix + "x", xg)
-        y_tok = pool.output(prefix + "y", y.shape)
-        per_worker: list[dict | None] = [None] * pool.n_workers
-        for w, rng in enumerate(ranges):
-            per_worker[w] = {"ranges": [rng]}
-        pool.run("spmm", per_worker, x=x_tok, y=y_tok,
-                 **self._shm_static)
-        y[...] = pool.view(prefix + "y")
-        context.record_dispatch(len(ranges), 0.0, "real_spmm")
+        run_ranges(context, self.n_block_rows, body, stage="real_spmm")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -4,8 +4,8 @@
 one at a time (``csr_matvecs``), so it amortizes nothing across the
 ``s`` vectors of a block — exactly the cost the paper's Section IV.C
 ("SpMV on blocks of vectors", reference [24]) eliminates.  This module
-compiles, at import-on-demand time, a small C library with the four
-entry points the parallel execution layer needs:
+compiles, at import-on-demand time, a small C library with the entry
+points the PME pipeline needs:
 
 ``bcsr_matmat`` / ``bcsr_matmat_range``
     Multi-RHS BCSR SpMM streaming each 3x3 block once against all
@@ -14,16 +14,17 @@ entry points the parallel execution layer needs:
     computes only block rows ``[lo, hi)`` so an execution context can
     chunk the product over workers (row results are independent, so
     any partition is bit-identical to the serial product).
-``spread_idx``
-    Scatter-add of a particle subset onto a batch-first ``(lanes,
-    K^3)`` mesh (Section IV.B.2).  The subset is one mesh block of one
-    color of the independent-set schedule: within a color, blocks
-    write disjoint mesh points, so concurrent calls use *plain stores*
-    — no atomics — exactly as the paper promises.
-``interp_range``
-    Gather (interpolation) of particle rows ``[lo, hi)`` from a
-    batch-first mesh; pure reads plus disjoint writes, so row chunks
-    parallelize trivially.
+``csr_gather_range``
+    Rows ``[lo, hi)`` of a CSR product with a strided multi-lane
+    operand.  Spreading is this gather over the rows of ``P^T`` (mesh
+    points) writing the batch-first ``(lanes, K^3)`` mesh directly;
+    interpolation is the same gather over the rows of ``P``
+    (particles).  Each output element is a sum over its own row, so
+    workers never write the same element and no coloring is needed —
+    the 8-color schedule of Section IV.B.2 exists for the *scatter*
+    form.  Summation follows SciPy's CSR order, and the library is
+    built with ``-ffp-contract=off``, so the gather equals the SciPy
+    product bitwise (the self-test checks it) at any row split.
 
 Every entry point is called through ``ctypes``, which releases the GIL
 for the duration of the C call — this is what makes the ``threads``
@@ -52,12 +53,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.ctypeslib import ndpointer
 
 from ..config import get_config
 
 __all__ = [
-    "spmm_kernel", "spmm_range_kernel", "spread_kernel", "interp_kernel",
+    "spmm_kernel", "spmm_range_kernel", "gather_kernel",
     "kernel_available", "reset_kernel_cache", "SPECIALIZED_LANES",
 ]
 
@@ -139,56 +141,85 @@ void bcsr_matmat(const long long nb, const long long *indptr,
     bcsr_matmat_range(0, nb, indptr, indices, blocks, x, y, s);
 }
 
-/* Scatter-add a particle subset onto a batch-first (lanes, k3) mesh.
- * idx selects rows of the (n, pcube) weight/column tables; vals is the
- * (n, lanes) per-particle operand.  Accumulation order is (particle,
- * lane, element) with particles in idx order — matching the NumPy
- * fallback's np.add.at traversal, and identical for every partition of
- * a color into blocks because block footprints are disjoint. */
-void spread_idx(const long long nidx, const long long *restrict idx,
-                const double *restrict data, const long long *restrict cols,
-                const long long pcube, const double *restrict vals,
-                const long long lanes, double *restrict out,
-                const long long k3)
+/* Row-range gather over a CSR matrix (spreading with P^T, interpolation
+ * with P): out[b * olane + r] = sum_k data[k] * x[indices[k] * xrow +
+ * b * xlane] for rows r in [lo, hi) and lanes b in [0, lanes).  Every
+ * output element sums its row's nonzeros in stored order starting from
+ * 0.0 -- the order of SciPy's CSR product -- so the result equals
+ * A @ x bitwise and is independent of how rows are split across
+ * workers.  Lanes run in passes of a compile-time width W (12, 9, 6,
+ * 3, 2 or 1: the pipeline's lane counts are multiples of 3) so the
+ * lane loop unrolls, and rows in tiles of GATHER_ROWS so the
+ * lane-major writes fill whole cache lines. */
+#define GATHER_ROWS 8
+#define GATHER_MAXW 12
+
+static inline __attribute__((always_inline)) void
+gather_pass(const long long W, const int unit, const long long lo,
+            const long long hi, const long long *restrict indptr,
+            const long long *restrict indices, const double *restrict data,
+            const double *restrict x, const long long xrow,
+            const long long xlane, double *restrict out,
+            const long long olane)
 {
-    for (long long t = 0; t < nidx; ++t) {
-        const long long i = idx[t];
-        const double *restrict wi = data + (size_t)i * pcube;
-        const long long *restrict ci = cols + (size_t)i * pcube;
-        const double *restrict vi = vals + (size_t)i * lanes;
-        for (long long b = 0; b < lanes; ++b) {
-            const double v = vi[b];
-            double *restrict ob = out + (size_t)b * k3;
-            for (long long e = 0; e < pcube; ++e)
-                ob[ci[e]] += wi[e] * v;
+    double acc[GATHER_ROWS * GATHER_MAXW];
+    for (long long r0 = lo; r0 < hi; r0 += GATHER_ROWS) {
+        const long long nr = hi - r0 < GATHER_ROWS ? hi - r0 : GATHER_ROWS;
+        for (long long t = 0; t < nr; ++t) {
+            double *restrict a = acc + t * W;
+            for (long long b = 0; b < W; ++b) a[b] = 0.0;
+            const long long k1 = indptr[r0 + t + 1];
+            for (long long k = indptr[r0 + t]; k < k1; ++k) {
+                const double w = data[k];
+                const double *restrict v = x + (size_t)indices[k] * xrow;
+                for (long long b = 0; b < W; ++b)
+                    a[b] += w * v[unit ? b : (size_t)b * xlane];
+            }
+        }
+        for (long long b = 0; b < W; ++b) {
+            double *restrict o = out + (size_t)b * olane + r0;
+            for (long long t = 0; t < nr; ++t) o[t] = acc[t * W + b];
         }
     }
 }
 
-/* Gather (interpolate) particle rows [lo, hi) from a batch-first
- * (lanes, k3) mesh into a (lanes, n) output.  Row results are
- * independent, so any row partition is bit-identical. */
-void interp_range(const long long lo, const long long hi,
-                  const double *restrict data, const long long *restrict cols,
-                  const long long pcube, const double *restrict mesh,
-                  const long long k3, const long long lanes,
-                  const long long n, double *restrict out)
+#define GATHER_PASS(W)                                                    \
+    do {                                                                  \
+        if (xlane == 1)                                                   \
+            gather_pass(W, 1, lo, hi, indptr, indices, data, xb, xrow,    \
+                        xlane, ob, olane);                                \
+        else                                                              \
+            gather_pass(W, 0, lo, hi, indptr, indices, data, xb, xrow,    \
+                        xlane, ob, olane);                                \
+        b0 += W;                                                          \
+    } while (0)
+
+void csr_gather_range(const long long lo, const long long hi,
+                      const long long *restrict indptr,
+                      const long long *restrict indices,
+                      const double *restrict data,
+                      const double *restrict x, const long long xrow,
+                      const long long xlane, const long long lanes,
+                      double *restrict out, const long long olane)
 {
-    for (long long i = lo; i < hi; ++i) {
-        const double *restrict wi = data + (size_t)i * pcube;
-        const long long *restrict ci = cols + (size_t)i * pcube;
-        for (long long b = 0; b < lanes; ++b) {
-            const double *restrict mb = mesh + (size_t)b * k3;
-            double acc = 0.0;
-            for (long long e = 0; e < pcube; ++e)
-                acc += wi[e] * mb[ci[e]];
-            out[(size_t)b * n + i] = acc;
-        }
+    long long b0 = 0;
+    while (b0 < lanes) {
+        const long long left = lanes - b0;
+        const double *restrict xb = x + (size_t)b0 * xlane;
+        double *restrict ob = out + (size_t)b0 * olane;
+        if (left >= 12) GATHER_PASS(12);
+        else if (left >= 9) GATHER_PASS(9);
+        else if (left >= 6) GATHER_PASS(6);
+        else if (left >= 3) GATHER_PASS(3);
+        else if (left == 2) GATHER_PASS(2);
+        else GATHER_PASS(1);
     }
 }
 """
 
-_BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
+#: ``-ffp-contract=off`` keeps ``a += w * v`` a separate multiply and
+#: add (no FMA), which the gather needs to match SciPy bitwise.
+_BASE_FLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
 
 #: Memoized load result: unset / a _Kernels bundle / None (unavailable).
 _UNSET = object()
@@ -196,16 +227,14 @@ _kernels: object = _UNSET
 
 
 class _Kernels:
-    """The four loaded entry points of one compiled library."""
+    """The loaded entry points of one compiled library."""
 
-    __slots__ = ("spmm", "spmm_range", "spread", "interp")
+    __slots__ = ("spmm", "spmm_range", "gather")
 
-    def __init__(self, spmm: object, spmm_range: object, spread: object,
-                 interp: object):
+    def __init__(self, spmm: object, spmm_range: object, gather: object):
         self.spmm = spmm
         self.spmm_range = spmm_range
-        self.spread = spread
-        self.interp = interp
+        self.gather = gather
 
 
 def _cache_dir() -> Path:
@@ -252,8 +281,7 @@ def _load(path: Path) -> _Kernels | None:
         lib = ctypes.CDLL(str(path))
         spmm = lib.bcsr_matmat
         spmm_range = lib.bcsr_matmat_range
-        spread = lib.spread_idx
-        interp = lib.interp_range
+        gather = lib.csr_gather_range
     except (OSError, AttributeError):
         return None
     i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -263,11 +291,9 @@ def _load(path: Path) -> _Kernels | None:
     spmm.restype = None
     spmm_range.argtypes = [ll, ll, i64, i64, f64, f64, f64, ll]
     spmm_range.restype = None
-    spread.argtypes = [ll, i64, f64, i64, ll, f64, ll, f64, ll]
-    spread.restype = None
-    interp.argtypes = [ll, ll, f64, i64, ll, f64, ll, ll, ll, f64]
-    interp.restype = None
-    return _Kernels(spmm, spmm_range, spread, interp)
+    gather.argtypes = [ll, ll, i64, i64, f64, f64, ll, ll, ll, f64, ll]
+    gather.restype = None
+    return _Kernels(spmm, spmm_range, gather)
 
 
 def _selftest(kernels: _Kernels) -> bool:
@@ -294,27 +320,28 @@ def _selftest(kernels: _Kernels) -> bool:
     if not np.array_equal(y, y2):
         return False
 
-    # spread: scatter-add must match np.add.at exactly
-    n, pcube, k3, lanes = 3, 4, 8, 2
-    data = np.ascontiguousarray(rng.standard_normal((n, pcube)))
-    cols = np.ascontiguousarray(
-        rng.integers(0, k3, size=(n, pcube)), dtype=np.int64)
-    vals = np.ascontiguousarray(rng.standard_normal((n, lanes)))
-    out = np.zeros((lanes, k3))
-    idx = np.arange(n, dtype=np.int64)
-    kernels.spread(n, idx, data, cols, pcube, vals, lanes, out, k3)
-    expect = np.zeros((k3, lanes))
-    np.add.at(expect, cols.ravel(),
-              (data[:, :, None] * vals[:, None, :]).reshape(-1, lanes))
-    if not np.allclose(out, expect.T, rtol=1e-12, atol=1e-12):
-        return False
-
-    # interpolate: gather must match the einsum reference
-    mesh = np.ascontiguousarray(rng.standard_normal((lanes, k3)))
-    got = np.zeros((lanes, n))
-    kernels.interp(0, n, data, cols, pcube, mesh, k3, lanes, n, got)
-    want = np.einsum("ie,bie->bi", data, mesh[:, cols])
-    return bool(np.allclose(got, want, rtol=1e-12, atol=1e-12))
+    # gather: both operand layouts must equal SciPy's CSR product
+    # bitwise, split into two row ranges (row 3 is empty)
+    rows, cols, lanes = 5, 7, 3
+    dense = rng.standard_normal((rows, cols)) * (rng.random((rows, cols))
+                                                 < 0.6)
+    dense[3] = 0.0
+    a = sp.csr_matrix(dense)
+    ptr = np.ascontiguousarray(a.indptr, dtype=np.int64)
+    idx = np.ascontiguousarray(a.indices, dtype=np.int64)
+    row_major = np.ascontiguousarray(rng.standard_normal((cols, lanes)))
+    lane_major = np.ascontiguousarray(row_major.T)
+    want = np.ascontiguousarray((a @ row_major).T)
+    got = np.empty((lanes, rows))
+    for x, xrow, xlane in ((row_major, lanes, 1), (lane_major, 1, cols)):
+        got.fill(np.nan)
+        kernels.gather(0, 2, ptr, idx, a.data, x, xrow, xlane, lanes,
+                       got, rows)
+        kernels.gather(2, rows, ptr, idx, a.data, x, xrow, xlane, lanes,
+                       got, rows)
+        if not np.array_equal(got, want):
+            return False
+    return True
 
 
 def _bundle() -> _Kernels | None:
@@ -373,18 +400,13 @@ def spmm_range_kernel() -> object | None:
     return None if kernels is None else kernels.spmm_range
 
 
-def spread_kernel() -> object | None:
-    """Colored scatter-add ``spread_idx(nidx, idx, data, cols, pcube,
-    vals, lanes, out, k3)`` with ``out`` batch-first ``(lanes, k3)``."""
+def gather_kernel() -> object | None:
+    """Row-range CSR gather ``csr_gather_range(lo, hi, indptr, indices,
+    data, x, xrow, xlane, lanes, out, olane)``: for rows ``r`` in
+    ``[lo, hi)`` and lanes ``b``, ``out[b * olane + r] = sum_k data[k] *
+    x[indices[k] * xrow + b * xlane]``."""
     kernels = _bundle()
-    return None if kernels is None else kernels.spread
-
-
-def interp_kernel() -> object | None:
-    """Row-range gather ``interp_range(lo, hi, data, cols, pcube, mesh,
-    k3, lanes, n, out)`` with ``out`` shaped ``(lanes, n)``."""
-    kernels = _bundle()
-    return None if kernels is None else kernels.interp
+    return None if kernels is None else kernels.gather
 
 
 def kernel_available() -> bool:

@@ -87,6 +87,13 @@ class TestRecord:
         assert doc["rows"][1][1]["repeats"] == 2
         assert doc["meta"]["nested"] == [[1, 2], [3, 4]]
 
+    def test_record_creates_missing_outdir(self, monkeypatch, tmp_path):
+        outdir = tmp_path / "not" / "yet" / "there"
+        monkeypatch.setenv("REPRO_BENCH_OUTDIR", str(outdir))
+        path = record_benchmark("nested", ["v"], [[1]])
+        assert path == outdir / "BENCH_nested.json"
+        assert json.loads(path.read_text())["rows"] == [[1]]
+
     def test_record_handles_numpy_scalars(self, tmp_path):
         path = record_benchmark("np", ["v"], [[np.float64(0.5)]],
                                 out_dir=tmp_path)
