@@ -438,7 +438,7 @@ def _run_ensemble(args) -> int:
         deadline=args.deadline, hang_timeout=args.hang_timeout,
         fault_plan=plan, manifest_path=manifest_path)
     with GracefulShutdown() as shutdown:
-        report = supervisor.run(shutdown=shutdown)
+        report = supervisor.run(stop=lambda: shutdown.triggered)
     print(report.summary())
     if plan is not None:
         for fault in plan.faults:

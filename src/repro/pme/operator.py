@@ -118,8 +118,6 @@ class PMEOperator:
         Precompute and reuse the interpolation matrix ``P`` (paper
         Section IV.A; the Fig. 4 optimization).  When false, spreading
         and interpolation recompute spline weights on the fly.
-    real_engine:
-        ``"scipy"`` or ``"bcsr"`` SpMV engine for the real-space term.
     cache:
         Optional :class:`~repro.pme.cache.MobilityCache`: reuses the
         position-independent state (mesh, influence function, batched
@@ -145,8 +143,8 @@ class PMEOperator:
     @positions_arg()
     def __init__(self, positions, box: Box, params: PMEParams,
                  fluid: FluidParams = REDUCED, neighbor_backend: str = "cells",
-                 store_p: bool = True, real_engine: str = "scipy",
-                 cache: MobilityCache | None = None, context=None):
+                 store_p: bool = True, cache: MobilityCache | None = None,
+                 context=None):
         from ..exec import default_context  # deferred: import cycle
         self.positions = as_positions(positions).copy()
         self.n = self.positions.shape[0]
@@ -183,7 +181,7 @@ class PMEOperator:
         with self.timers.phase("construct_real"):
             self.real = RealSpaceOperator(
                 self.positions, box, params.xi, params.r_max, fluid=fluid,
-                neighbor_backend=neighbor_backend, engine=real_engine,
+                neighbor_backend=neighbor_backend, engine="bcsr",
                 kernel=params.kernel)
         registry = obs.get_metrics()
         if registry is not None:

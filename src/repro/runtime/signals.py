@@ -2,14 +2,17 @@
 
 One small context manager shared by everything that must stop cleanly
 on SIGTERM/SIGINT: ``repro simulate --max-wall-time`` (stop at the
-next step boundary, write a final checkpoint, exit 0 resumable) and
-the ensemble supervisor (stop assigning tasks, drain workers, persist
-the campaign manifest).
+next step boundary, write a final checkpoint, exit 0 resumable),
+``repro ensemble`` (the supervisor stops assigning tasks, drains
+workers, persists the campaign manifest) and ``repro serve``.
 
-The handler only *flags*; the owner polls :attr:`triggered` (the
-integrator's ``stop`` predicate, the supervisor's event loop) so
-shutdown always lands at a well-defined boundary rather than wherever
-the signal interrupted NumPy.
+The handler only *flags*; the owner passes ``lambda:
+shutdown.triggered`` as the ``stop`` predicate of
+:meth:`~repro.core.simulation.Simulation.run` or
+:meth:`~repro.runtime.supervisor.Supervisor.run`, so shutdown always
+lands at a well-defined boundary rather than wherever the signal
+interrupted NumPy.  Each entry point enters exactly one instance, on
+the main thread (the only thread that may install handlers).
 """
 
 from __future__ import annotations
@@ -38,21 +41,13 @@ class GracefulShutdown:
     impatient ``kill`` repeated by an init system does not abort the
     final checkpoint write.  Original handlers are restored on exit.
 
-    Instances are **nest-safe**: entering a second ``GracefulShutdown``
-    inside an active one (the serve loop wrapping an inner ensemble
-    drain) saves the outer handler and chains to it on delivery, so a
-    single SIGTERM trips *every* level of the stack — the inner drain
-    stops at its boundary and the outer loop still knows it must stop
-    too.  Non-``GracefulShutdown`` previous handlers are restored but
-    never invoked (the flag-only discipline stays intact).
-
     Parameters
     ----------
     on_signal:
         Optional callback invoked (once per delivery) from the signal
-        handler with the signal name — used by the supervisor to log a
-        "drain requested" instant event.  Keep it async-signal-safe
-        cheap: set flags, don't do I/O beyond appending to a queue.
+        handler with the signal name — ``repro serve`` uses it to wake
+        its event loop.  Keep it async-signal-safe cheap: set flags,
+        don't do I/O beyond appending to a queue.
     """
 
     def __init__(self, on_signal: Callable[[str], None] | None = None):
@@ -68,14 +63,6 @@ class GracefulShutdown:
             self.signal_name = signal.Signals(signum).name
         if self._on_signal is not None:
             self._on_signal(signal.Signals(signum).name)
-        # nest-safety: an enclosing GracefulShutdown must see the
-        # signal too, or the outer loop would keep running after the
-        # inner drain finished.  Only chain to our own kind — foreign
-        # handlers expect to be *restored*, not invoked from here.
-        previous = self._previous.get(signum)
-        if (callable(previous) and isinstance(
-                getattr(previous, "__self__", None), GracefulShutdown)):
-            previous(signum, frame)
 
     def __enter__(self) -> "GracefulShutdown":
         for sig in _SHUTDOWN_SIGNALS:

@@ -23,10 +23,13 @@ recovery ladder with dense-reference fallback enabled), a second trip
 quarantines it with a structured failure report — the campaign never
 wedges on one sick member.
 
-SIGTERM/SIGINT (via :class:`~repro.runtime.signals.GracefulShutdown`)
-triggers a drain: no new assignments, workers stop at their next block
-boundary, final checkpoints and a resumable
-:class:`~repro.runtime.tasks.CampaignManifest` are written.
+:meth:`Supervisor.run` takes the integrator's ``stop`` predicate: once
+``stop()`` is true (a SIGTERM/SIGINT flagged by
+:class:`~repro.runtime.signals.GracefulShutdown`, a served job's
+cancel), the campaign drains: no new assignments, workers stop at
+their next block boundary, final checkpoints and a resumable
+:class:`~repro.runtime.tasks.CampaignManifest` are written.  Its
+``progress`` callback is pushed every block-aligned checkpoint.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .. import obs
 from ..errors import ConfigurationError
@@ -46,7 +49,6 @@ from ..resilience.backoff import BackoffPolicy, CircuitBreaker
 from ..resilience.failures import FailureKind, StepFailure
 from ..utils.timing import now
 from .faults import ProcessFaultPlan
-from .signals import GracefulShutdown
 from .tasks import (
     CampaignManifest,
     TaskRecord,
@@ -57,6 +59,10 @@ from .tasks import (
 from .worker import DEFAULT_HEARTBEAT_INTERVAL, worker_main
 
 __all__ = ["Supervisor", "SupervisorReport", "WorkerRestart"]
+
+#: Event-loop wait granularity in seconds: how long the loop blocks on
+#: worker pipes before it re-checks ``stop``, backoff and the watchdog.
+_POLL_INTERVAL = 0.05
 
 
 def _mp_context():
@@ -230,8 +236,6 @@ class Supervisor:
         Abort budget — more restarts than this raise
         :class:`StepFailure` (the pool itself is sick, e.g. an OOM
         loop; retrying forever would thrash).
-    poll_interval:
-        Event-loop wait granularity in seconds.
     """
 
     def __init__(self, tasks: Sequence[TaskSpec | TaskRecord],
@@ -242,8 +246,7 @@ class Supervisor:
                  fault_plan: ProcessFaultPlan | None = None,
                  manifest_path: str | None = None,
                  max_worker_restarts: int = 50,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 poll_interval: float = 0.05):
+                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL):
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}")
@@ -265,7 +268,6 @@ class Supervisor:
                               or f"{checkpoint_dir}/campaign.json")
         self.max_worker_restarts = max_worker_restarts
         self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
 
         self._breakers = {
             r.spec.task_id: CircuitBreaker(
@@ -274,6 +276,7 @@ class Supervisor:
         self._ready_at = {r.spec.task_id: 0.0 for r in self.records}
         self._records_by_id = {r.spec.task_id: r for r in self.records}
         self._draining = False
+        self._progress: Callable[[int, int], None] | None = None
         self._next_worker_id = 0
         self._ctx = _mp_context()
         self._stop_event = self._ctx.Event()
@@ -419,15 +422,19 @@ class Supervisor:
 
     # -- event loop ------------------------------------------------------
 
-    def run(self, shutdown: GracefulShutdown | None = None
+    def run(self, stop: Callable[[], bool] | None = None,
+            progress: Callable[[int, int], None] | None = None
             ) -> SupervisorReport:
         """Drive the campaign to completion (or drain); blocking.
 
-        With ``shutdown`` supplied, a delivered SIGTERM/SIGINT turns
-        the loop into a drain: running tasks stop at their next block
-        boundary, nothing new is assigned, and the saved manifest is
-        resumable.
+        ``stop`` is polled before every assignment round: once it
+        returns true the loop drains — running tasks stop at their
+        next block boundary, nothing new is assigned, and the saved
+        manifest is resumable.  ``progress(task_id, completed_step)``
+        is called from this thread on every checkpoint a worker
+        reports.
         """
+        self._progress = progress
         self._manifest = CampaignManifest(
             tasks=self.records,
             fault_spec=(None if self.fault_plan is None
@@ -446,7 +453,7 @@ class Supervisor:
         with obs.span("supervisor.run", tasks=len(self.records),
                       workers=len(workers)):
             try:
-                self._loop(workers, report, shutdown)
+                self._loop(workers, report, stop)
             finally:
                 for handle in workers:
                     handle.shutdown()
@@ -463,20 +470,15 @@ class Supervisor:
             report.collection.write_defaults(self.checkpoint_dir)
         return report
 
-    def request_drain(self) -> None:
-        """Stop assigning work and drain workers at block boundaries."""
-        if not self._draining:
-            self._draining = True
-            self._stop_event.set()
-            obs.instant("supervisor.drain_requested")
-
     def _loop(self, workers: list[_WorkerHandle],
               report: SupervisorReport,
-              shutdown: GracefulShutdown | None) -> None:
+              stop: Callable[[], bool] | None) -> None:
         while True:
-            if (shutdown is not None and shutdown.triggered
-                    and not self._draining):
-                self.request_drain()
+            if not self._draining and stop is not None and stop():
+                # no new assignments; workers stop at their next block
+                self._draining = True
+                self._stop_event.set()
+                obs.instant("supervisor.drain_requested")
 
             # assign ready tasks to idle workers
             if not self._draining:
@@ -503,12 +505,12 @@ class Supervisor:
                 return
             if not busy and self._pending():
                 # every pending task is in a backoff window; idle-wait
-                time.sleep(self.poll_interval)
+                time.sleep(_POLL_INTERVAL)
                 continue
 
             sources: list[Any] = [h.conn for h in workers]
             sources += [h.process.sentinel for h in workers]
-            ready = connection.wait(sources, timeout=self.poll_interval)
+            ready = connection.wait(sources, timeout=_POLL_INTERVAL)
 
             for handle in list(workers):
                 if handle.conn in ready:
@@ -543,6 +545,9 @@ class Supervisor:
             if kind == "checkpoint":
                 record.completed_step = message["completed_step"]
                 record.checkpoint = message["checkpoint"]
+                if self._progress is not None:
+                    self._progress(record.spec.task_id,
+                                   record.completed_step)
             elif kind == "done":
                 ok = self._task_done(record, message, report)
                 self._task_span(handle, "done" if ok else "corrupt-result")

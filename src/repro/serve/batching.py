@@ -216,9 +216,11 @@ class MobilityBatcher:
 
     # -- submission ------------------------------------------------------
 
-    async def submit(self, spec: SystemSpec, forces: np.ndarray
-                     ) -> np.ndarray:
-        """Queue one request; resolves to its ``(3n, s)`` velocities."""
+    def submit(self, spec: SystemSpec,
+               forces: np.ndarray) -> asyncio.Future:
+        """Queue one request now; the future resolves to its ``(3n, s)``
+        velocities.  Synchronous, so :attr:`backlog_columns` counts the
+        request before the caller next yields to the loop."""
         if forces.ndim != 2 or forces.shape[0] != 3 * spec.n:
             raise ProtocolError(
                 f"forces must have shape (3n, s) = ({3 * spec.n}, s), "
@@ -242,7 +244,7 @@ class MobilityBatcher:
                       self.backlog_columns, queue="mobility")
         if window.columns >= self.max_batch or self.max_wait == 0:
             self._flush(key)
-        return await item.future
+        return item.future
 
     # -- flushing --------------------------------------------------------
 

@@ -23,7 +23,7 @@ cost one computation, then hits.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from ..errors import ConfigurationError
@@ -125,7 +125,8 @@ class SingleFlight:
     while it is in flight await the same result.  The key is released
     when the computation finishes (either way), so a *failed* flight
     is retried by the next request rather than caching the exception
-    forever.
+    forever.  A cancelled caller only stops waiting: the computation
+    runs on for everyone else.
     """
 
     def __init__(self) -> None:
@@ -141,24 +142,14 @@ class SingleFlight:
                   compute: Callable[[], Awaitable[Any]]) -> Any:
         import asyncio
 
-        existing = self._inflight.get(key)
-        if existing is not None:
-            self.joined += 1
-            return await asyncio.shield(existing)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
-            value = await compute()
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-                # consume so a join-free failure isn't "never retrieved"
-                future.exception()
-            raise
+        flight = self._inflight.get(key)
+        if flight is None:
+            # its own task: a caller cancelled mid-flight (a client that
+            # disconnected) must not cancel the result the others await
+            flight = asyncio.ensure_future(compute())
+            self._inflight[key] = flight
+            flight.add_done_callback(
+                lambda _done: self._inflight.pop(key, None))
         else:
-            if not future.done():
-                future.set_result(value)
-            return value
-        finally:
-            self._inflight.pop(key, None)
+            self.joined += 1
+        return await asyncio.shield(flight)

@@ -11,16 +11,17 @@ checkpoints, restart-with-backoff, hang watchdog, graceful drain.
 
 Everything the runtime guarantees transfers to the service for free:
 
-* **progress streaming** — the supervisor's task record advances
-  ``completed_step`` on every checkpoint message; an asyncio poller
-  publishes those advances to every subscribed client as ``progress``
-  events;
-* **graceful cancellation** — ``cancel`` (or the last interested
-  client disconnecting) calls
-  :meth:`~repro.runtime.supervisor.Supervisor.request_drain`; the
-  task stops at the next ``lambda_RPY`` block boundary with a durable
-  checkpoint, and a later identical request *resumes* from it
-  bit-identically instead of starting over;
+* **progress streaming** — the supervisor calls ``progress`` on every
+  block-aligned checkpoint message; the job hands each one to the
+  event loop (``call_soon_threadsafe``), which pushes it to every
+  subscribed client as a ``progress`` event;
+* **graceful cancellation** — ``cancel``, server shutdown, or the last
+  subscribed client leaving sets :attr:`SimulateJob.cancelled`, which
+  is the ``stop`` predicate of
+  :meth:`~repro.runtime.supervisor.Supervisor.run`; the task stops at
+  the next ``lambda_RPY`` block boundary with a durable checkpoint (or
+  never starts, if the cancel came first), and a later identical
+  request *resumes* from it bit-identically instead of starting over;
 * **deduplication** — jobs are keyed by (fingerprint, seed, steps);
   concurrent identical requests subscribe to the one running job.
 
@@ -33,6 +34,7 @@ recipe, the contract the test suite pins.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 from typing import Any
 
@@ -72,8 +74,7 @@ class SimulateJob:
     """One running (or finished) served simulation."""
 
     def __init__(self, key: str, spec: SystemSpec, seed: int, steps: int,
-                 job_dir: str, executor, *, sim_workers: int = 1,
-                 progress_poll: float = 0.05):
+                 job_dir: str, executor, *, sim_workers: int = 1):
         self.key = key
         self.spec = spec
         self.seed = seed
@@ -81,7 +82,6 @@ class SimulateJob:
         self.job_dir = job_dir
         self._executor = executor
         self._sim_workers = sim_workers
-        self._progress_poll = progress_poll
         self.supervisor: Supervisor | None = None
         self.state = "pending"
         self.cancelled = False
@@ -102,8 +102,12 @@ class SimulateJob:
         return queue
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
+        """Drop one subscriber; the last one leaving cancels the job."""
         if queue in self._subscribers:
             self._subscribers.remove(queue)
+        if not self._subscribers and not self.finished:
+            obs.inc("serve_jobs_abandoned_total")
+            self.cancel()
 
     def _publish(self, event: dict[str, Any]) -> None:
         for queue in self._subscribers:
@@ -111,10 +115,15 @@ class SimulateJob:
 
     # -- lifecycle -------------------------------------------------------
 
-    async def start(self) -> None:
-        """Build the campaign and launch it on the executor."""
+    def start(self) -> None:
+        """Launch the job on the running loop; returns immediately."""
         loop = asyncio.get_running_loop()
         self._done = loop.create_future()
+        self._runner = loop.create_task(self._run())
+
+    def _prepare(self) -> Supervisor:
+        """The job's supervisor: resume a drained campaign or start one."""
+        os.makedirs(self.job_dir, exist_ok=True)
         manifest_path = os.path.join(self.job_dir, "campaign.json")
         records: Any = None
         if os.path.exists(manifest_path):
@@ -124,52 +133,37 @@ class SimulateJob:
                     and manifest.tasks[0].spec.seed == self.seed):
                 records = manifest.tasks  # drained earlier: resume
         if records is None:
-            task = await loop.run_in_executor(
-                self._executor, task_spec_for,
-                self.spec, self.seed, self.steps)
-            records = [task]
-        self.supervisor = Supervisor(
-            records, self.job_dir, n_workers=self._sim_workers,
-            manifest_path=manifest_path)
-        self.state = "running"
-        self._runner = loop.create_task(self._drive())
+            records = [task_spec_for(self.spec, self.seed, self.steps)]
+        return Supervisor(records, self.job_dir,
+                          n_workers=self._sim_workers,
+                          manifest_path=manifest_path)
 
-    async def _drive(self) -> None:
-        require(self.supervisor is not None and self._done is not None,
-                "job was not started")
+    async def _run(self) -> None:
+        require(self._done is not None, "job was not started")
         loop = asyncio.get_running_loop()
-        record = self.supervisor.records[0]
-        run = loop.run_in_executor(self._executor, self.supervisor.run)
-        last_step = -1
+
+        def progress(_task_id: int, step: int) -> None:
+            loop.call_soon_threadsafe(self._publish, {
+                "event": "progress", "step": step, "of": self.steps})
+
         try:
-            while not run.done():
-                step = record.completed_step
-                if step != last_step and step > 0:
-                    last_step = step
-                    self._publish({"event": "progress", "step": step,
-                                   "of": self.steps})
-                await asyncio.wait(
-                    [run], timeout=self._progress_poll,
-                    return_when=asyncio.FIRST_COMPLETED)
-            report = run.result()
+            self.supervisor = await loop.run_in_executor(
+                self._executor, self._prepare)
+            self.state = "running"
+            # the supervisor only waits on its worker processes, so it
+            # runs on the loop's default executor, not the compute pool
+            report = await loop.run_in_executor(
+                None, functools.partial(
+                    self.supervisor.run, stop=lambda: self.cancelled,
+                    progress=progress))
+            result = self._terminal_result(report,
+                                           self.supervisor.records[0])
         except Exception as exc:  # noqa: RPR006 - job boundary: the
             # classified failure becomes the terminal result every
             # subscribed client receives as an error response
             kind = classify_exception(exc)
-            self.state = "failed"
-            result: dict[str, Any] = {
-                "state": "failed", "kind": kind.value,
-                "message": str(exc)}
-            self._publish({"event": "end", **result})
-            self._done.set_result(result)
-            return
-        step = record.completed_step
-        if step != last_step and step > 0:
-            # the run can finish between polls: publish the terminal
-            # step so subscribers always see the final progress
-            self._publish({"event": "progress", "step": step,
-                           "of": self.steps})
-        result = self._terminal_result(report, record)
+            result = {"state": "failed", "kind": kind.value,
+                      "message": str(exc)}
         self.state = str(result["state"])
         self._publish({"event": "end", **result})
         self._done.set_result(result)
@@ -190,17 +184,21 @@ class SimulateJob:
                 "message": failure.get("message", "task quarantined"),
                 "completed_step": record.completed_step}
 
+    @property
+    def finished(self) -> bool:
+        """Whether the terminal result is in."""
+        return self._done is not None and self._done.done()
+
     async def wait(self) -> dict[str, Any]:
         """The terminal result; shields the job from caller cancel."""
         require(self._done is not None, "job was not started")
         return await asyncio.shield(self._done)
 
     def cancel(self) -> None:
-        """Request a graceful drain at the next block boundary."""
-        self.cancelled = True
-        if self.supervisor is not None:
-            self.supervisor.request_drain()
-        obs.inc("serve_jobs_cancelled_total")
+        """Drain at the next block boundary (or before the first one)."""
+        if not self.cancelled:
+            self.cancelled = True
+            obs.inc("serve_jobs_cancelled_total")
 
     def to_json(self) -> dict[str, Any]:
         step = (0 if self.supervisor is None
@@ -215,7 +213,7 @@ class JobManager:
     """Owns the active simulate jobs (dedup + concurrency bound)."""
 
     def __init__(self, work_dir: str, executor, *, max_jobs: int = 2,
-                 sim_workers: int = 1, progress_poll: float = 0.05):
+                 sim_workers: int = 1):
         if max_jobs < 1:
             raise ConfigurationError(
                 f"max_jobs must be >= 1, got {max_jobs}")
@@ -223,7 +221,6 @@ class JobManager:
         self._executor = executor
         self.max_jobs = max_jobs
         self.sim_workers = sim_workers
-        self.progress_poll = progress_poll
         self.active: dict[str, SimulateJob] = {}
         self.started = 0
         self.deduplicated = 0
@@ -235,24 +232,22 @@ class JobManager:
             self.deduplicated += 1
         return job
 
-    async def launch(self, key: str, spec: SystemSpec, seed: int,
-                     steps: int) -> SimulateJob:
-        """Start a new job; the caller must have admission-checked."""
+    def launch(self, key: str, spec: SystemSpec, seed: int,
+               steps: int) -> SimulateJob:
+        """Start a new job; the caller must have admission-checked.
+
+        Synchronous, so a caller cancelled around it cannot leave a
+        half-started job behind: the job is registered and running (it
+        builds its campaign itself) before anything can interrupt.
+        """
         job_dir = os.path.join(self.work_dir,
                                f"{key[:16]}-{seed}-{steps}")
-        os.makedirs(job_dir, exist_ok=True)
         job = SimulateJob(key, spec, seed, steps, job_dir,
-                          self._executor, sim_workers=self.sim_workers,
-                          progress_poll=self.progress_poll)
+                          self._executor, sim_workers=self.sim_workers)
+        job.start()
         self.active[key] = job
         self.started += 1
         obs.set_gauge("serve_active_jobs", len(self.active))
-        try:
-            await job.start()
-        except Exception:
-            self.active.pop(key, None)
-            obs.set_gauge("serve_active_jobs", len(self.active))
-            raise
         return job
 
     def finish(self, key: str) -> None:
@@ -265,8 +260,7 @@ class JobManager:
         for job in list(self.active.values()):
             job.cancel()
         for job in list(self.active.values()):
-            if job._done is not None:
-                await job.wait()
+            await job.wait()
         self.active.clear()
         obs.set_gauge("serve_active_jobs", 0)
 

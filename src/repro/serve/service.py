@@ -25,9 +25,7 @@ histogram whose p50/p90/p99 the ``stats`` op reports.
 
 The server listens on a Unix socket (``socket_path``) or a local TCP
 port; :meth:`SimulationService.run_forever` wires SIGTERM/SIGINT to a
-graceful stop through :class:`~repro.runtime.signals.GracefulShutdown`
-(nest-safe: inner ensemble drains stack under the serve loop's
-handler).
+graceful stop through :class:`~repro.runtime.signals.GracefulShutdown`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import asyncio
 import contextlib
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Awaitable
 
 from .. import obs
 from ..config import get_config
@@ -93,7 +91,6 @@ class ServeSettings:
     cache_entries: int = 256
     cache_ttl: float | None = 600.0
     work_dir: str = "serve-jobs"
-    progress_poll: float = 0.05
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -108,9 +105,8 @@ class _ClientState:
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: int = 0
     closed: bool = False
-    #: request id -> (job, progress queue, forwarder task)
-    jobs: dict[str, tuple[Any, asyncio.Queue, asyncio.Task]] = field(
-        default_factory=dict)
+    #: request id -> the simulate job it subscribes to
+    jobs: dict[str, Any] = field(default_factory=dict)
     tasks: set = field(default_factory=set)
 
 
@@ -138,8 +134,7 @@ class SimulationService:
         self.flight = SingleFlight()
         self.jobs = JobManager(s.work_dir, self._executor,
                                max_jobs=s.max_jobs,
-                               sim_workers=s.sim_workers,
-                               progress_poll=s.progress_poll)
+                               sim_workers=s.sim_workers)
         os.makedirs(s.work_dir, exist_ok=True)
         self._server: asyncio.AbstractServer | None = None
         self._clients: dict[int, _ClientState] = {}
@@ -248,19 +243,12 @@ class SimulationService:
             state.closed = True
             self._clients.pop(state.client_id, None)
             obs.set_gauge("serve_clients", len(self._clients))
-            self._abandon_jobs(state)
+            # nobody reads the answers anymore; a cancelled simulate
+            # unsubscribes, and the last subscriber leaving drains it
+            for task in list(state.tasks):
+                task.cancel()
             with contextlib.suppress(OSError):
                 writer.close()
-
-    def _abandon_jobs(self, state: _ClientState) -> None:
-        """Disconnect cleanup: drain jobs nobody is watching anymore."""
-        for job, queue, forwarder in state.jobs.values():
-            forwarder.cancel()
-            job.unsubscribe(queue)
-            if job.subscribers == 0 and job.state == "running":
-                obs.inc("serve_jobs_abandoned_total")
-                job.cancel()
-        state.jobs.clear()
 
     async def _send(self, state: _ClientState,
                     message: dict[str, Any]) -> bool:
@@ -299,6 +287,9 @@ class SimulationService:
                           client=state.client_id):
                 response, outcome = await self._answer(state, message, op)
             await self._send(state, response)
+        except asyncio.CancelledError:
+            outcome = "cancelled"  # the client disconnected
+            raise
         except ProtocolError as exc:
             outcome = "invalid"
             await self._send(state, error_response(
@@ -378,14 +369,21 @@ class SimulationService:
         if cached is not None:
             return ok_response(message, {**cached, "cached": True}), "ok"
 
-        async def compute() -> dict[str, Any]:
-            velocities = await self.batcher.submit(spec, forces)
-            result = {
-                "velocities": encode_array(
-                    velocities[:, 0] if flat else velocities),
-                "fingerprint": fingerprint}
-            self.cache.put(key, result)
-            return result
+        def compute() -> Awaitable[dict[str, Any]]:
+            # queued before this request yields, so the next request's
+            # admission check already counts these columns
+            queued = self.batcher.submit(spec, forces)
+
+            async def encode() -> dict[str, Any]:
+                velocities = await queued
+                result = {
+                    "velocities": encode_array(
+                        velocities[:, 0] if flat else velocities),
+                    "fingerprint": fingerprint}
+                self.cache.put(key, result)
+                return result
+
+            return encode()
 
         result = await self.flight.run(key, compute)
         return ok_response(message, {**result, "cached": False}), "ok"
@@ -416,7 +414,7 @@ class SimulationService:
             if shed is not None:
                 return shed_response(message, shed.reason,
                                      shed.retry_after), "shed"
-            job = await self.jobs.launch(key, spec, seed, steps)
+            job = self.jobs.launch(key, spec, seed, steps)
             finalizer = asyncio.get_running_loop().create_task(
                 self._finalize_job(key, job))
             self._background.add(finalizer)
@@ -425,16 +423,13 @@ class SimulationService:
         request_id = str(message["id"])
         forwarder = asyncio.get_running_loop().create_task(
             self._forward_events(state, message, queue))
-        state.jobs[request_id] = (job, queue, forwarder)
-        if state.closed:
-            # the client left while the job was starting: its disconnect
-            # cleanup ran before this subscription existed
-            self._abandon_jobs(state)
+        state.jobs[request_id] = job
         try:
             result = await job.wait()
+            await forwarder  # the progress queued ahead of the end event
         finally:
             forwarder.cancel()
-            job.unsubscribe(queue)
+            job.unsubscribe(queue)  # the last one out cancels the job
             state.jobs.pop(request_id, None)
         if result["state"] == "failed":
             return error_response(message, str(result.get("kind")),
@@ -467,19 +462,18 @@ class SimulationService:
         target = message.get("target")
         if target is None:
             raise ProtocolError("cancel needs 'target' (a request id)")
-        entry = state.jobs.get(str(target))
-        if entry is None:
+        job = state.jobs.get(str(target))
+        if job is None:
             # the issuing connection is usually *blocked* in its own
             # simulate request, so cancels arrive on a second
             # connection; the socket is local and trusted
             for other in self._clients.values():
-                entry = other.jobs.get(str(target))
-                if entry is not None:
+                job = other.jobs.get(str(target))
+                if job is not None:
                     break
-        if entry is None:
+        if job is None:
             raise ProtocolError(
                 f"no running simulate request {target!r}")
-        job = entry[0]
         job.cancel()
         return ok_response(message, {
             "cancelling": True, "state": job.state,

@@ -137,6 +137,9 @@ def test_memory_report(system):
     assert report["total"] == sum(v for k, v in report.items()
                                   if k != "total")
     assert report["influence_function"] == op.influence.memory_bytes
+    # the real-space term is stored (and counted) once, as BCSR
+    assert op.real.engine == "bcsr"
+    assert report["real_space_matrix"] == op.real.bcsr.memory_bytes
     # O(n) + O(K^3) scaling: far below the dense 9 n^2 * 8 bytes already
     # for this small system? not necessarily — just check positivity
     assert report["total"] > 0

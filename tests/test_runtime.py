@@ -332,8 +332,9 @@ def test_campaign_drain_and_resume_bit_identity(tmp_path):
     os.makedirs(d)
     supervisor = Supervisor(_specs(2, n_steps=400), d, n_workers=2,
                             hang_timeout=60.0)
-    threading.Timer(1.0, supervisor.request_drain).start()
-    report = supervisor.run()
+    drain = threading.Event()
+    threading.Timer(1.0, drain.set).start()
+    report = supervisor.run(stop=drain.is_set)
     assert report.drained
     manifest = CampaignManifest.load(os.path.join(d, "campaign.json"))
     assert manifest.drained and manifest.resumable
@@ -345,6 +346,27 @@ def test_campaign_drain_and_resume_bit_identity(tmp_path):
                          hang_timeout=60.0).run()
     assert resumed.manifest.counts() == {"done": 2}
     assert resumed.digests == reference.digests
+
+
+def test_campaign_stop_predicate_and_pushed_progress(tmp_path):
+    d = str(tmp_path / "stopped")
+    os.makedirs(d)
+    stopped = Supervisor(_specs(1, n_steps=20), d, n_workers=1,
+                         hang_timeout=60.0).run(stop=lambda: True)
+    (record,) = stopped.manifest.tasks
+    # stop() is checked before the first assignment: nothing ran
+    assert stopped.drained and stopped.manifest.resumable
+    assert record.attempts == 0 and record.completed_step == 0
+
+    seen = []
+    d = str(tmp_path / "ran")
+    os.makedirs(d)
+    ran = Supervisor(_specs(1, n_steps=20), d, n_workers=1,
+                     hang_timeout=60.0).run(
+        progress=lambda task_id, step: seen.append((task_id, step)))
+    assert ran.manifest.counts() == {"done": 1}
+    task_id = record.spec.task_id
+    assert seen == [(task_id, 10), (task_id, 20)]  # one per checkpoint
 
 
 def test_campaign_quarantines_poison_task(tmp_path):
@@ -537,24 +559,6 @@ def test_traced_fault_campaign_observability(tmp_path):
              if e["ph"] == "M" and e["name"] == "process_name"]
     assert names[0] == "supervisor"
     assert {f"worker-{w}" for w in recovered} <= set(names)
-
-
-def test_graceful_shutdown_nested_contexts_all_trigger():
-    inner_seen, outer_seen = [], []
-    before = signal.getsignal(signal.SIGTERM)
-    with GracefulShutdown(on_signal=outer_seen.append) as outer:
-        with GracefulShutdown(on_signal=inner_seen.append) as inner:
-            os.kill(os.getpid(), signal.SIGTERM)
-            # one signal trips the whole stack: the inner handler
-            # chains delivery to the outer GracefulShutdown
-            assert inner.triggered and outer.triggered
-            assert inner_seen == ["SIGTERM"]
-            assert outer_seen == ["SIGTERM"]
-        # inner exit restored the outer handler; a second signal
-        # still reaches the (already triggered) outer context
-        os.kill(os.getpid(), signal.SIGTERM)
-        assert outer_seen == ["SIGTERM", "SIGTERM"]
-    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_graceful_shutdown_does_not_invoke_foreign_handlers():

@@ -161,6 +161,29 @@ def test_single_flight_deduplicates_concurrent_callers():
     asyncio.run(scenario())
 
 
+def test_single_flight_survives_a_cancelled_leader():
+    async def scenario():
+        flight = SingleFlight()
+        gate = asyncio.Event()
+
+        async def compute():
+            await gate.wait()
+            return "result"
+
+        leader = asyncio.ensure_future(flight.run("k", compute))
+        await asyncio.sleep(0)
+        joiner = asyncio.ensure_future(flight.run("k", compute))
+        await asyncio.sleep(0)
+        leader.cancel()  # e.g. the leader's client disconnected
+        await asyncio.sleep(0)
+        gate.set()
+        assert await asyncio.wait_for(joiner, 10.0) == "result"
+        assert leader.cancelled()
+        assert flight.active() == 0
+
+    asyncio.run(scenario())
+
+
 def test_single_flight_failure_is_not_cached():
     async def scenario():
         flight = SingleFlight()
@@ -368,8 +391,21 @@ def _run_service(settings: ServeSettings, scenario):
     return asyncio.run(main())
 
 
-async def _request(path: str, *messages, keep_reading: bool = True):
-    """Open a connection, pipeline requests, collect the responses."""
+async def _until(predicate, timeout: float = 60.0) -> None:
+    """Poll ``predicate`` on the loop until it holds (or fail)."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+async def _request(path: str, *messages, keep_reading: bool = True,
+                   events: list | None = None):
+    """Open a connection, pipeline requests, collect the responses.
+
+    Streamed events are dropped, or appended to ``events`` if given.
+    """
     reader, writer = await asyncio.open_unix_connection(
         path, limit=2 ** 25)
     for message in messages:
@@ -383,6 +419,8 @@ async def _request(path: str, *messages, keep_reading: bool = True):
                 break
             decoded = json.loads(line)
             if "event" in decoded:
+                if events is not None:
+                    events.append(decoded)
                 continue
             responses.append(decoded)
     writer.close()
@@ -567,6 +605,134 @@ def test_service_cancels_abandoned_simulate(tmp_path):
     assert state in ("drained", "done")
 
 
+def test_service_cancel_before_start_is_honoured(tmp_path, monkeypatch):
+    import repro.serve.jobs as jobs_module
+
+    spec = SystemSpec(n=16, phi=0.2, lambda_rpy=4)
+    entered, release = threading.Event(), threading.Event()
+    task_spec_for = jobs_module.task_spec_for
+
+    def gated_task_spec_for(*args):
+        entered.set()
+        release.wait(timeout=60.0)
+        return task_spec_for(*args)
+
+    monkeypatch.setattr(jobs_module, "task_spec_for", gated_task_spec_for)
+
+    async def scenario(service):
+        loop = asyncio.get_running_loop()
+        path = service.settings.socket_path
+        try:
+            reader, writer = await asyncio.open_unix_connection(path)
+            writer.write(encode_message({
+                "op": "simulate", "id": "early",
+                "system": spec.to_json(), "seed": 3, "steps": 400}))
+            await writer.drain()
+            # the job is still building its campaign when the client
+            # leaves: nobody subscribes anymore, so it must not run
+            assert await loop.run_in_executor(None, entered.wait, 30.0)
+            job = next(iter(service.jobs.active.values()))
+            writer.close()
+            await _until(lambda: job.cancelled)
+        finally:
+            release.set()
+        result = await asyncio.wait_for(job.wait(), 60.0)
+        await _until(lambda: not service.jobs.active)
+        # max_jobs=1: a leaked slot would shed this one
+        follow, = await _request(path, {
+            "op": "simulate", "id": "next", "system": spec.to_json(),
+            "seed": 4, "steps": 4})
+        return result, follow, service.jobs.started
+
+    result, follow, started = _run_service(
+        _settings(tmp_path, max_jobs=1), scenario)
+    assert result["state"] == "drained"
+    assert result["completed_step"] == 0
+    assert follow["status"] == "ok", follow
+    assert follow["result"]["state"] == "done"
+    assert started == 2
+
+
+def test_service_cancel_op_drains_and_resend_resumes(tmp_path):
+    from repro.core.simulation import Simulation
+    from repro.runtime.tasks import positions_digest
+
+    spec = SystemSpec(n=16, phi=0.2, system_seed=0, lambda_rpy=4)
+    seed, steps = 6, 400
+    suspension = make_suspension(spec.n, spec.phi, seed=spec.system_seed)
+    params = tune_parameters(suspension.n, suspension.box,
+                             target_ep=spec.e_p, p=spec.p,
+                             fluid=suspension.fluid)
+    simulation = Simulation(suspension, dt=spec.dt,
+                            lambda_rpy=spec.lambda_rpy, seed=seed,
+                            pme_params=params, e_k=spec.e_k)
+    trajectory, _stats = simulation.run(steps, record_interval=steps)
+    direct_digest = positions_digest(trajectory.positions[-1])
+
+    async def scenario(service):
+        path = service.settings.socket_path
+        request = {"op": "simulate", "id": "long",
+                   "system": spec.to_json(), "seed": seed,
+                   "steps": steps}
+        first = asyncio.ensure_future(_request(path, request))
+        await _until(lambda: any(job.to_json()["completed_step"] > 0
+                                 for job in service.jobs.active.values()))
+        # the first connection is blocked in its simulate: cancel from
+        # a second one
+        unknown, = await _request(path, {"op": "cancel", "id": "c0",
+                                         "target": "nope"})
+        cancelled, = await _request(path, {"op": "cancel", "id": "c1",
+                                           "target": "long"})
+        drained, = await asyncio.wait_for(first, 60.0)
+        events: list = []
+        resumed, = await _request(path, {**request, "id": "again"},
+                                  events=events)
+        return unknown, cancelled, drained, resumed, events
+
+    unknown, cancelled, drained, resumed, events = _run_service(
+        _settings(tmp_path), scenario)
+    assert unknown["status"] == "error"
+    assert cancelled["status"] == "ok"
+    assert cancelled["result"]["cancelling"] is True
+    result = drained["result"]
+    assert result["state"] == "drained" and result["resumable"] is True
+    assert 0 < result["completed_step"] < steps
+    assert result["completed_step"] % spec.lambda_rpy == 0
+    # the re-sent request continues from the drained checkpoint ...
+    progress = [e["step"] for e in events if e["event"] == "progress"]
+    assert progress[0] == result["completed_step"] + spec.lambda_rpy
+    # ... to the same bytes as an uninterrupted direct run
+    assert resumed["status"] == "ok", resumed
+    assert resumed["result"]["state"] == "done"
+    assert resumed["result"]["digest"] == direct_digest
+
+
+def test_service_simulate_leaves_compute_thread_free(tmp_path):
+    spec = SystemSpec(n=16, phi=0.2, lambda_rpy=4)
+    forces = np.random.default_rng(12).standard_normal(3 * SPEC.n)
+
+    async def scenario(service):
+        path = service.settings.socket_path
+        simulate = asyncio.ensure_future(_request(path, {
+            "op": "simulate", "id": "long", "system": spec.to_json(),
+            "seed": 8, "steps": 400}))
+        await _until(lambda: any(job.to_json()["completed_step"] > 0
+                                 for job in service.jobs.active.values()))
+        applied, = await _request(path, {
+            "op": "mobility.apply", "id": 1, "system": SPEC.to_json(),
+            "forces": encode_array(forces)})
+        simulate_running = not simulate.done()
+        for job in service.jobs.active.values():
+            job.cancel()
+        await asyncio.wait_for(simulate, 60.0)
+        return applied, simulate_running
+
+    applied, simulate_running = _run_service(
+        _settings(tmp_path, compute_threads=1), scenario)
+    assert applied["status"] == "ok"
+    assert simulate_running  # answered while the simulate still ran
+
+
 def test_service_stats_and_latency_quantiles(tmp_path):
     rng = np.random.default_rng(4)
 
@@ -617,4 +783,4 @@ def test_serve_client_roundtrip_and_retry(tmp_path):
         _settings(tmp_path), scenario)
     assert velocities.tobytes() == want.tobytes()
     assert result["state"] == "done" and result["digest"]
-    assert progress and progress[-1] == 8
+    assert progress == [4, 8]  # pushed at each block boundary
